@@ -11,7 +11,8 @@ Method tags and what they consume:
   fj   per-cluster rescaling, classes clustered by image count with
        Fisher-Jenks natural breaks
 
-Every ``apply_*`` is a pure function of the fitted state and its input;
+``calibrate`` is the one place that picks a calibrator by tag. Every
+``apply_*`` is a pure function of the fitted state and its input;
 the predicted class is always the argmax of the calibrated scores (for
 nem the reported score is the inverse distance, so argmax coincides with
 the nearest mean).
@@ -30,11 +31,9 @@ from .dataset import TRAIN, DatasetTable
 from .errors import ConfigurationError, ParameterError
 from .metrics import top1
 
-RAW_SCORES = "raw_scores"
-SOFTMAX_PROBS = "softmax_probs"
-FEATURES = "features"
-
 METHOD_TAGS = ("iso", "pl", "th", "nem", "bal", "mb", "fj")
+# calibrators that read the test features rather than the test scores
+FEATURE_METHODS = ("nem", "bal")
 
 NEM_EPSILON = 1e-12
 PLATT_MAX_ITER = 100
@@ -73,7 +72,6 @@ class CalibContext:
 @dataclass
 class CalibratorState:
     method: str
-    input_mode: str
     params: dict
     flags: dict = field(default_factory=dict)
 
@@ -91,7 +89,6 @@ class CalibratorState:
 
         return {
             "method": self.method,
-            "input_mode": self.input_mode,
             "params": conv(self.params),
             "flags": conv(self.flags),
         }
@@ -168,8 +165,7 @@ def fit_isotonic(ctx):
         boundaries[c] = b
         levels[c] = l
     return CalibratorState(
-        "iso", RAW_SCORES, {"boundaries": boundaries, "levels": levels,
-                            "num_classes": num_classes}
+        "iso", {"boundaries": boundaries, "levels": levels, "num_classes": num_classes}
     )
 
 
@@ -249,7 +245,7 @@ def fit_platt(ctx):
     for cls in range(num_classes):
         pos = ctx.train_labels == cls
         a[cls], c[cls], converged[cls] = platt_fit_binary(ctx.train_scores[:, cls], pos)
-    state = CalibratorState("pl", RAW_SCORES, {"A": a, "C": c})
+    state = CalibratorState("pl", {"A": a, "C": c})
     state.flags["converged"] = converged
     return state
 
@@ -264,20 +260,20 @@ def apply_platt(state, scores):
 # thresholding
 
 
-def apply_threshold(ctx, probs):
-    """Divide each class's probability by its prior: p_i * (sum n_l) / n_i."""
-    probs = np.asarray(probs, dtype=np.float64)
+def fit_threshold(ctx):
+    """Thresholding has no fitted parameters beyond the class counts, which
+    must be strictly positive."""
     counts = np.asarray(ctx.class_counts, dtype=np.float64)
     if np.any(counts <= 0):
         raise ParameterError("class counts must be strictly positive")
+    return CalibratorState("th", {"class_counts": counts})
+
+
+def apply_threshold(state, probs):
+    """Divide each class's probability by its prior: p_i * (sum n_l) / n_i."""
+    probs = np.asarray(probs, dtype=np.float64)
+    counts = state.params["class_counts"]
     return probs * (counts.sum() / counts)
-
-
-def fit_threshold(ctx):
-    """Thresholding has no fitted parameters beyond the class counts."""
-    return CalibratorState(
-        "th", SOFTMAX_PROBS, {"class_counts": np.asarray(ctx.class_counts, dtype=np.float64)}
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +291,7 @@ def fit_nem(ctx):
             raise ConfigurationError(f"class {c} has no exemplars in memory")
         rows.append(np.asarray(feats, dtype=np.float64).mean(axis=0))
     means = np.vstack(rows)
-    return CalibratorState("nem", FEATURES, {"means": means})
+    return CalibratorState("nem", {"means": means})
 
 
 def apply_nem(state, features):
@@ -342,9 +338,7 @@ def fit_balanced(ctx, model, config):
     if len(table.only(split=TRAIN)) == 0:
         raise ParameterError("balanced table has no train-split records")
     retrained = backbone.train(model, table, config)
-    state = CalibratorState(
-        "bal", FEATURES, {"weights": retrained.weights, "biases": retrained.biases}
-    )
+    state = CalibratorState("bal", {"weights": retrained.weights, "biases": retrained.biases})
     state.flags["per_class_used"] = used
     return state
 
@@ -380,9 +374,7 @@ def fit_mb(ctx):
                 flags["identity"] = "non-positive old-class mean score"
             else:
                 r = mu_new / mu_old
-    return CalibratorState(
-        "mb", RAW_SCORES, {"ratio": r, "old_classes": tuple(ctx.old_classes)}, flags
-    )
+    return CalibratorState("mb", {"ratio": r, "old_classes": tuple(ctx.old_classes)}, flags)
 
 
 def apply_mb(state, scores):
@@ -447,7 +439,6 @@ def fit_fj(ctx, candidate_cluster_counts=None):
     acc, chosen, factors, assignments = best
     return CalibratorState(
         "fj",
-        RAW_SCORES,
         {"factors": factors, "num_clusters": chosen, "assignments": assignments},
         {"val_top1": acc},
     )
@@ -458,6 +449,32 @@ def apply_fj(state, scores):
 
 
 # ---------------------------------------------------------------------------
+
+
+def calibrate(method, ctx, raw, features=None, model=None, train_config=None):
+    """Fit ``method`` on ctx and return its calibrated scores for the test rows.
+
+    ``raw`` holds the test rows' raw scores and ``none`` returns it as is;
+    the FEATURE_METHODS read the test ``features`` instead, and bal
+    retrains a copy of ``model`` under ``train_config``.
+    """
+    if method == "none":
+        return raw
+    if method == "iso":
+        return apply_isotonic(fit_isotonic(ctx), raw)
+    if method == "pl":
+        return apply_platt(fit_platt(ctx), raw)
+    if method == "th":
+        return apply_threshold(fit_threshold(ctx), backbone.softmax(raw))
+    if method == "nem":
+        return apply_nem(fit_nem(ctx), features)
+    if method == "bal":
+        return apply_balanced(fit_balanced(ctx, model, train_config), features)
+    if method == "mb":
+        return apply_mb(fit_mb(ctx), raw)
+    if method == "fj":
+        return apply_fj(fit_fj(ctx), raw)
+    raise ParameterError(f"unknown calibrator tag: {method!r}")
 
 
 def predict(calibrated_scores):

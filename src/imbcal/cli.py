@@ -18,12 +18,14 @@ import sys
 
 import numpy as np
 
-from . import backbone, calibration, dataset, harness
+from . import calibration, dataset, harness
 from .breaks import fisher_jenks
 from .errors import ConfigurationError, FormatError, ParameterError
 
 # calibrators that can be fitted from a labeled score file alone
-SCORE_METHODS = ("iso", "pl", "th", "mb", "fj")
+SCORE_METHODS = tuple(
+    m for m in calibration.METHOD_TAGS if m not in calibration.FEATURE_METHODS
+)
 
 
 def _build_parser():
@@ -174,16 +176,7 @@ def _cmd_calibrate(args):
         val_scores=scores, val_labels=labels,
         class_counts=counts, old_classes=old, new_classes=new,
     )
-    if args.method == "iso":
-        out = calibration.apply_isotonic(calibration.fit_isotonic(ctx), scores)
-    elif args.method == "pl":
-        out = calibration.apply_platt(calibration.fit_platt(ctx), scores)
-    elif args.method == "th":
-        out = calibration.apply_threshold(ctx, backbone.softmax(scores))
-    elif args.method == "mb":
-        out = calibration.apply_mb(calibration.fit_mb(ctx), scores)
-    else:  # fj
-        out = calibration.apply_fj(calibration.fit_fj(ctx), scores)
+    out = calibration.calibrate(args.method, ctx, scores)
 
     target = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:

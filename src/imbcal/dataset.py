@@ -31,15 +31,6 @@ SOFT_MINIMUM = 50
 
 
 @dataclass(frozen=True)
-class FeatureRecord:
-    """One sample: a feature vector, its class label and its split flag."""
-
-    features: np.ndarray
-    label: int
-    split: str
-
-
-@dataclass(frozen=True)
 class ImbalanceProfile:
     kind: str  # "none" | "soft" | "strong"
     seed: int = 0
@@ -56,13 +47,6 @@ class StatePlan:
     ordering: tuple
     num_states: int
     classes_per_state: tuple
-
-    def state_classes(self, k):
-        """Classes introduced at state k (1-based)."""
-        if not 1 <= k <= self.num_states:
-            raise ParameterError(f"state index {k} out of range")
-        start = sum(self.classes_per_state[: k - 1])
-        return self.ordering[start : start + self.classes_per_state[k - 1]]
 
 
 class DatasetTable:
@@ -110,13 +94,6 @@ class DatasetTable:
 
     def classes(self):
         return [int(c) for c in np.unique(self.labels)]
-
-    def record(self, i):
-        return FeatureRecord(self.features[i], int(self.labels[i]), str(self.splits[i]))
-
-    def records(self):
-        for i in range(len(self)):
-            yield self.record(i)
 
     def subset(self, mask):
         mask = np.asarray(mask, dtype=bool)

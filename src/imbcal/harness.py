@@ -59,8 +59,8 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(ALL_METHODS)
         if unknown:
             raise ParameterError(f"unknown calibrator tags: {sorted(unknown)}")
-        if self.memory < 0 or self.num_states < 1:
-            raise ParameterError("memory must be >= 0 and num_states >= 1")
+        if self.memory < 0 or self.num_states < 2:
+            raise ParameterError("memory must be >= 0 and num_states >= 2")
 
 
 def config_from_dict(obj):
@@ -115,10 +115,6 @@ def config_from_dict(obj):
         raise ParameterError(f"bad experiment config: {exc}") from exc
 
 
-class StageError(RuntimeError):
-    """A module error annotated with the state index and method tag."""
-
-
 def _build_table(cfg):
     if cfg.synthetic is not None:
         s = cfg.synthetic
@@ -131,31 +127,6 @@ def _build_table(cfg):
     profile = dataset.ImbalanceProfile(cfg.imbalance_kind, cfg.data_seed)
     table = dataset.apply_imbalance(table, profile)
     return dataset.split_train_val(table, cfg.val_fraction, derive_seed(cfg.data_seed, 1))
-
-
-def _calibrated_test_scores(method, ctx, model, cfg, state_k, raw, test_features):
-    try:
-        if method == "none":
-            return raw
-        if method == "iso":
-            return calibration.apply_isotonic(calibration.fit_isotonic(ctx), raw)
-        if method == "pl":
-            return calibration.apply_platt(calibration.fit_platt(ctx), raw)
-        if method == "th":
-            return calibration.apply_threshold(ctx, backbone.softmax(raw))
-        if method == "nem":
-            return calibration.apply_nem(calibration.fit_nem(ctx), test_features)
-        if method == "bal":
-            bal_config = replace(cfg.train, seed=derive_seed(cfg.model_seed, 2000, state_k))
-            state = calibration.fit_balanced(ctx, model, bal_config)
-            return calibration.apply_balanced(state, test_features)
-        if method == "mb":
-            return calibration.apply_mb(calibration.fit_mb(ctx), raw)
-        if method == "fj":
-            return calibration.apply_fj(calibration.fit_fj(ctx), raw)
-    except Exception as exc:
-        raise StageError(f"state {state_k}, method {method}: {exc}") from exc
-    raise StageError(f"state {state_k}: unknown method {method!r}")
 
 
 def run_experiment(cfg):
@@ -205,11 +176,15 @@ def run_experiment(cfg):
 
         test_part = table.only(split=dataset.TEST, classes=range(seen))
         raw = backbone.scores(model, test_part.features)
+        bal_config = replace(cfg.train, seed=derive_seed(cfg.model_seed, 2000, k))
         per_method = {}
         for method in cfg.methods:
-            calibrated = _calibrated_test_scores(
-                method, ctx, model, cfg, k, raw, test_part.features
-            )
+            try:
+                calibrated = calibration.calibrate(
+                    method, ctx, raw, test_part.features, model, bal_config
+                )
+            except (ParameterError, ConfigurationError) as exc:
+                raise ConfigurationError(f"state {k}, method {method}: {exc}") from exc
             preds = calibration.predict(calibrated)
             per_method[method] = metrics.MethodResult(
                 top1=metrics.top1(preds, test_part.labels),

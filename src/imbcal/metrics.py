@@ -72,19 +72,7 @@ def _validate_probs(probabilities, predictions, labels, m):
 
 def ece(probabilities, predictions, labels, m=ECE_BINS_DEFAULT):
     """Expected Calibration Error over M equal-width confidence bins."""
-    probabilities, predictions, labels = _validate_probs(probabilities, predictions, labels, m)
-    n = len(labels)
-    conf = probabilities.max(axis=1)
-    correct = (predictions == labels).astype(np.float64)
-    idx = _bin_indices(conf, m)
-    total = 0.0
-    for b in range(m):
-        mask = idx == b
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        total += (count / n) * abs(conf[mask].mean() - correct[mask].mean())
-    return float(total)
+    return ece_from_table(reliability_table(probabilities, predictions, labels, m), len(labels))
 
 
 def reliability_table(probabilities, predictions, labels, m=ECE_BINS_DEFAULT):

@@ -20,6 +20,7 @@ from imbcal.calibration import (
     fit_fj,
     fit_mb,
     fit_step_map,
+    fit_threshold,
     pava,
     predict,
 )
@@ -186,7 +187,7 @@ def test_7_degenerate_fits_never_change_the_argmax():
     assert np.array_equal(predict(apply_fj(fj_state, scores)), base)
     # uniform counts scale all probabilities equally
     probs = softmax(scores)
-    assert np.array_equal(predict(apply_threshold(ctx, probs)), predict(probs))
+    assert np.array_equal(predict(apply_threshold(fit_threshold(ctx), probs)), predict(probs))
     print("\nPASS criterion 7: identity-parameter calibrators preserve the "
           "argmax on 1000 random rows")
 

@@ -14,6 +14,7 @@ from imbcal.calibration import (
     apply_platt,
     apply_step_map,
     apply_threshold,
+    calibrate,
     fit_balanced,
     fit_fj,
     fit_isotonic,
@@ -178,7 +179,7 @@ class TestPlatt:
 class TestThreshold:
     def test_hand_example_flips_argmax(self):
         ctx = make_ctx(np.zeros((4, 2)), [0, 0, 0, 1], class_counts=[3, 1])
-        out = apply_threshold(ctx, np.array([[0.6, 0.4]]))
+        out = apply_threshold(fit_threshold(ctx), np.array([[0.6, 0.4]]))
         # 0.6 * 4/3 = 0.8, 0.4 * 4/1 = 1.6
         assert out[0].tolist() == pytest.approx([0.8, 1.6])
         assert predict(out)[0] == 1
@@ -187,20 +188,20 @@ class TestThreshold:
         rng = np.random.default_rng(0)
         probs = rng.dirichlet(np.ones(4), size=100)
         ctx = make_ctx(np.zeros((4, 4)), [0, 1, 2, 3], class_counts=[5, 5, 5, 5])
-        out = apply_threshold(ctx, probs)
+        out = apply_threshold(fit_threshold(ctx), probs)
         assert np.array_equal(predict(out), predict(probs))
 
     def test_count_scale_invariance(self):
         probs = np.random.default_rng(1).dirichlet(np.ones(3), size=20)
         a = make_ctx(np.zeros((3, 3)), [0, 1, 2], class_counts=[2, 4, 6])
         b = make_ctx(np.zeros((3, 3)), [0, 1, 2], class_counts=[20, 40, 60])
-        assert np.array_equal(predict(apply_threshold(a, probs)),
-                              predict(apply_threshold(b, probs)))
+        assert np.array_equal(predict(apply_threshold(fit_threshold(a), probs)),
+                              predict(apply_threshold(fit_threshold(b), probs)))
 
     def test_zero_count_rejected(self):
         ctx = make_ctx(np.zeros((2, 2)), [0, 0], class_counts=[2, 0])
         with pytest.raises(ParameterError):
-            apply_threshold(ctx, np.array([[0.5, 0.5]]))
+            apply_threshold(fit_threshold(ctx), np.array([[0.5, 0.5]]))
 
     def test_fit_records_counts(self):
         ctx = make_ctx(np.zeros((3, 2)), [0, 0, 1])
@@ -373,6 +374,11 @@ class TestPredict:
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
             predict(np.empty((0, 3)))
+
+
+def test_calibrate_rejects_unknown_tag():
+    with pytest.raises(ParameterError):
+        calibrate("magic", make_ctx(np.zeros((2, 2)), [0, 1]), np.zeros((1, 2)))
 
 
 def test_state_to_json_is_serializable():

@@ -142,7 +142,7 @@ class TestPlanStates:
         t = generate_synthetic(4, 2, 3, 5.0, 1.0, seed=0)
         plan = plan_states(t, 2, [3, 1, 0, 2])
         assert plan.ordering == (3, 1, 0, 2)
-        assert plan.state_classes(1) == (3, 1)
+        assert plan.classes_per_state == (2, 2)
 
     def test_bad_fixed_order(self):
         t = generate_synthetic(4, 2, 3, 5.0, 1.0, seed=0)

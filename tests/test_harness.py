@@ -201,6 +201,32 @@ class TestCli:
         path.write_text('{"memory": 5}')
         assert main(["run", "--config", str(path)]) == 2
 
+    def test_calibrator_error_exits_2_with_state_and_method(self, tmp_path, capsys):
+        # README quick-start config with a memory smaller than the 12 classes
+        # seen at state 3, so nem finds a class without exemplars there
+        cfg = {
+            "num_states": 5,
+            "memory": 10,
+            "data": {"synthetic": {"classes": 20, "dim": 16, "per_class": 120,
+                                   "separation": 2.5, "noise": 1.5, "test_per_class": 30}},
+            "imbalance": "strong",
+            "methods": ["none", "iso", "pl", "th", "nem", "bal", "mb", "fj"],
+            "seeds": {"data": 100, "model": 200, "protocol": 300},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "state 3, method nem" in capsys.readouterr().err
+
+    def test_single_state_rejected_before_run(self, tmp_path):
+        cfg = json.loads(self.run_config(tmp_path).read_text())
+        cfg["num_states"] = 1
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_scores_file_exits_3(self, tmp_path):
         assert main(["calibrate", "--method", "iso",
                      "--scores", str(tmp_path / "nope.csv")]) == 3
