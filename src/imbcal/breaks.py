@@ -1,6 +1,10 @@
 """Exact Fisher-Jenks natural breaks for one-dimensional values.
 
-``fisher_jenks`` runs an O(L n^2) dynamic program over the sorted values;
+``fisher_jenks`` runs Fisher's exact O(L n^2) dynamic program over the
+sorted values. Every segment's cost comes from prefix sums into one
+(n+1) x (n+1) matrix, so each DP level is a single vectorised min over
+it. The matrix takes O(n^2) memory, small for the per-class counts that
+fit_fj clusters.
 ``brute_force_breaks`` enumerates every contiguous partition and serves as
 its oracle. Both break SSD ties by the lexicographically smallest
 boundary positions and report the SSD recomputed directly from the chosen
@@ -77,21 +81,21 @@ def fisher_jenks(values, L):
     s1 = np.concatenate([[0.0], np.cumsum(v)])
     s2 = np.concatenate([[0.0], np.cumsum(v * v)])
 
-    def seg_cost(i, j):
-        # SSD of v[i:j] via prefix sums
-        m = j - i
-        s = s1[j] - s1[i]
-        return (s2[j] - s2[i]) - s * s / m
+    # cost[i, m]: SSD of v[i:m] via prefix sums; infinite unless i < m
+    width = np.arange(n + 1)[None, :] - np.arange(n + 1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = s1[None, :] - s1[:, None]
+        cost = (s2[None, :] - s2[:, None]) - s * s / width
+    cost[width <= 0] = np.inf
 
-    # best[j][i]: minimal cost of splitting v[i:] into j clusters
+    # best[j][i]: minimal cost of splitting v[i:] into j clusters; a cluster
+    # starting at i must leave j-1 values for the rest, which best[j-1]
+    # enforces by being infinite past n-j+1
     best = np.full((L + 1, n + 1), np.inf)
     best[0, n] = 0.0
-    best[1, :n] = [seg_cost(i, n) for i in range(n)]
+    best[1, :n] = cost[:n, n]
     for j in range(2, L + 1):
-        for i in range(n - j + 1):
-            # cluster starting at i must leave j-1 values for the rest
-            costs = [seg_cost(i, m) + best[j - 1, m] for m in range(i + 1, n - j + 2)]
-            best[j, i] = min(costs)
+        best[j, : n - j + 1] = (cost[: n - j + 1] + best[j - 1]).min(axis=1)
 
     # reconstruct the lexicographically smallest optimal cut positions
     cuts = []
@@ -100,7 +104,7 @@ def fisher_jenks(values, L):
         target = best[j, i]
         tol = _TIE_TOL * max(1.0, abs(target))
         for m in range(i + 1, n - j + 2):
-            if seg_cost(i, m) + best[j - 1, m] <= target + tol:
+            if cost[i, m] + best[j - 1, m] <= target + tol:
                 cuts.append(m)
                 i = m
                 break

@@ -20,6 +20,7 @@ the nearest mean).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -36,6 +37,7 @@ METHOD_TAGS = ("iso", "pl", "th", "nem", "bal", "mb", "fj")
 FEATURE_METHODS = ("nem", "bal")
 
 NEM_EPSILON = 1e-12
+NEM_CHUNK_ROWS = 64
 PLATT_MAX_ITER = 100
 PLATT_GRAD_TOL = 1e-9
 
@@ -102,24 +104,79 @@ def pava(values, weights=None):
     """Weighted least-squares fit of a non-decreasing sequence.
 
     Pool-adjacent-violators: merge any decreasing neighbours into their
-    weighted mean until the sequence is non-decreasing.
+    weighted mean until the sequence is non-decreasing. Weights must be
+    positive.
+
+    Only the middle of the sequence goes through the stack. A leading value
+    that is <= every later value is never pooled, since every block to its
+    right has a mean at least as large; nor is a trailing value that is >=
+    every earlier value. Both are copied through. A rounded block mean can
+    still land an ulp past such a value, so the stack keeps the last leading
+    value as a floor and the whole sequence is rerun if a pool would reach a
+    trimmed value: the result is always that of the untrimmed loop. The loop
+    runs over Python floats, whose IEEE arithmetic is numpy float64's.
     """
     values = np.asarray(values, dtype=np.float64)
     if weights is None:
         weights = np.ones_like(values)
     weights = np.asarray(weights, dtype=np.float64)
+    if np.any(weights <= 0):
+        raise ParameterError("pava weights must be positive")
+    n = len(values)
+    later_min = np.append(np.minimum.accumulate(values[::-1])[::-1][1:], np.inf)
+    earlier_max = np.insert(np.maximum.accumulate(values)[:-1], 0, -np.inf)
+    lead = _run_length(values <= later_min)
+    stop = max(lead, n - _run_length((values >= earlier_max)[::-1]))
+
+    out = values.copy()
+    if lead < stop:
+        floor = float(values[lead - 1]) if lead else -math.inf
+        pooled = _pool(values[lead:stop].tolist(), weights[lead:stop].tolist(), floor)
+        if pooled is None or (stop < n and pooled[0][-1] > values[stop]):
+            lead, stop = 0, n
+            pooled = _pool(values.tolist(), weights.tolist(), -math.inf)
+        out[lead:stop] = np.repeat(*pooled)
+    return out
+
+
+def _run_length(mask):
+    """Length of the leading run of True values in ``mask``."""
+    return int(np.argmin(np.append(mask, False)))
+
+
+def _pool(values, weights, floor):
+    """The pool-adjacent-violators stack over ``values`` as (levels, counts).
+
+    ``floor`` is the value just left of ``values``; returns None when a
+    block would pool with it. The top block lives in locals, so a value
+    that pools at once never touches the lists.
+    """
     levels, wsum, counts = [], [], []
+    top, top_w, top_n = floor, 0.0, 0
     for v, w in zip(values, weights):
-        levels.append(v)
-        wsum.append(w)
-        counts.append(1)
-        while len(levels) > 1 and levels[-2] > levels[-1]:
-            w_new = wsum[-2] + wsum[-1]
-            levels[-2] = (levels[-2] * wsum[-2] + levels[-1] * wsum[-1]) / w_new
-            wsum[-2] = w_new
-            counts[-2] += counts[-1]
-            del levels[-1], wsum[-1], counts[-1]
-    return np.repeat(levels, counts)
+        if top > v:
+            if not top_n:
+                return None
+            w_new = top_w + w
+            top = (top * top_w + v * w) / w_new
+            top_w = w_new
+            top_n += 1
+            while levels[-1] > top:
+                if len(levels) == 1:
+                    return None
+                w_new = wsum[-1] + top_w
+                top = (levels.pop() * wsum[-1] + top * top_w) / w_new
+                top_w = w_new
+                del wsum[-1]
+                top_n += counts.pop()
+        else:
+            levels.append(top)
+            wsum.append(top_w)
+            counts.append(top_n)
+            top, top_w, top_n = v, w, 1
+    levels.append(top)
+    counts.append(top_n)
+    return levels[1:], counts[1:]
 
 
 def fit_step_map(scores, targets):
@@ -133,17 +190,16 @@ def fit_step_map(scores, targets):
     targets = np.asarray(targets, dtype=np.float64)
     order = np.argsort(scores, kind="stable")
     xs, ys = scores[order], targets[order]
-    ux, start = np.unique(xs, return_index=True)
+    start = np.flatnonzero(np.append(True, xs[1:] != xs[:-1]))
+    ux = xs[start]
     pooled = np.add.reduceat(ys, start)
-    counts = np.diff(np.concatenate([start, [len(xs)]]))
+    counts = np.diff(np.append(start, len(xs)))
     fitted = pava(pooled / counts, counts)
 
-    boundaries, levels = [], [float(fitted[0])]
-    for g in range(1, len(ux)):
-        if fitted[g] != fitted[g - 1]:
-            boundaries.append(float((ux[g - 1] + ux[g]) / 2.0))
-            levels.append(float(fitted[g]))
-    return np.array(boundaries), np.array(levels)
+    change = np.flatnonzero(fitted[1:] != fitted[:-1]) + 1
+    boundaries = (ux[change - 1] + ux[change]) / 2.0
+    levels = np.append(fitted[0], fitted[change])
+    return boundaries, levels
 
 
 def apply_step_map(boundaries, levels, scores):
@@ -182,9 +238,11 @@ def apply_isotonic(state, scores):
 
 
 def _platt_nll(s, t, a, c):
+    """Negative log-likelihood at (a, c), and the unclipped probabilities."""
     z = np.clip(a * s + c, -500, 500)
-    p = np.clip(1.0 / (1.0 + np.exp(z)), 1e-15, 1 - 1e-15)
-    return float(-(t * np.log(p) + (1 - t) * np.log(1 - p)).sum())
+    p = 1.0 / (1.0 + np.exp(z))
+    q = np.clip(p, 1e-15, 1 - 1e-15)
+    return float(-(t * np.log(q) + (1 - t) * np.log(1 - q)).sum()), p
 
 
 def platt_fit_binary(scores, positive_mask):
@@ -192,7 +250,8 @@ def platt_fit_binary(scores, positive_mask):
 
     Newton-Raphson with backtracking, at most PLATT_MAX_ITER iterations;
     returns (A, C, converged), keeping the best iterate on
-    non-convergence.
+    non-convergence. Each iterate's likelihood is evaluated once: the line
+    search's last evaluation is the next iteration's starting point.
     """
     s = np.asarray(scores, dtype=np.float64)
     pos = np.asarray(positive_mask, dtype=bool)
@@ -200,35 +259,33 @@ def platt_fit_binary(scores, positive_mask):
     if n_pos == 0 or n_neg == 0:
         raise ParameterError("need at least one positive and one negative sample")
     t = np.where(pos, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
+    ss = s * s
 
     a, c = 0.0, float(np.log((n_neg + 1.0) / (n_pos + 1.0)))
-    best = (_platt_nll(s, t, a, c), a, c)
+    current, p = _platt_nll(s, t, a, c)
+    best = (current, a, c)
     converged = False
     for _ in range(PLATT_MAX_ITER):
-        z = np.clip(a * s + c, -500, 500)
-        p = 1.0 / (1.0 + np.exp(z))
-        grad = np.array([np.sum(s * (t - p)), np.sum(t - p)])
+        residual = t - p
+        grad = np.array([np.sum(s * residual), np.sum(residual)])
         if np.abs(grad).max() < PLATT_GRAD_TOL:
             converged = True
             break
         w = p * (1.0 - p)
-        hess = np.array(
-            [[np.sum(s * s * w), np.sum(s * w)], [np.sum(s * w), np.sum(w)]]
-        ) + 1e-12 * np.eye(2)
+        sw = np.sum(s * w)
+        hess = np.array([[np.sum(ss * w), sw], [sw, np.sum(w)]]) + 1e-12 * np.eye(2)
         try:
             delta = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             break
-        current = _platt_nll(s, t, a, c)
         step = 1.0
-        a2, c2 = a, c
         for _ in range(30):
             a2, c2 = a - step * delta[0], c - step * delta[1]
-            if _platt_nll(s, t, a2, c2) <= current + 1e-12:
+            nll, p = _platt_nll(s, t, a2, c2)
+            if nll <= current + 1e-12:
                 break
             step /= 2.0
-        a, c = a2, c2
-        nll = _platt_nll(s, t, a, c)
+        a, c, current = a2, c2, nll
         if nll < best[0]:
             best = (nll, a, c)
     if not converged:
@@ -298,9 +355,13 @@ def apply_nem(state, features):
     """Inverse Euclidean distance to each class mean; argmax = nearest mean."""
     features = np.asarray(features, dtype=np.float64)
     means = state.params["means"]
-    diff = features[:, None, :] - means[None, :, :]
-    dists = np.sqrt((diff**2).sum(axis=2))
-    return 1.0 / (dists + NEM_EPSILON)
+    # squared distances NEM_CHUNK_ROWS test rows at a time, so the (rows,
+    # N, d) difference tensor stays small; each row's sums are unchanged
+    sq = np.empty((len(features), len(means)))
+    for lo in range(0, len(features), NEM_CHUNK_ROWS):
+        diff = features[lo : lo + NEM_CHUNK_ROWS, None, :] - means[None, :, :]
+        sq[lo : lo + NEM_CHUNK_ROWS] = (diff**2).sum(axis=2)
+    return 1.0 / (np.sqrt(sq) + NEM_EPSILON)
 
 
 # ---------------------------------------------------------------------------

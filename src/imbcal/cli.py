@@ -86,7 +86,11 @@ def _read_scores(path):
                 raise FormatError(f"{path}: line {lineno}: non-numeric value") from None
     if not rows:
         raise FormatError(f"{path}: no records")
-    return np.array(rows), np.array(labels, dtype=np.int64)
+    scores = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
+    if len(bad):
+        raise FormatError(f"{path}: line {bad[0] + 2}: non-finite score")
+    return scores, np.array(labels, dtype=np.int64)
 
 
 def _read_counts(path, num_classes):

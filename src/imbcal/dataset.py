@@ -361,8 +361,14 @@ def load_features(features_path, manifest_path):
             feats.append(values)
     if not labels:
         raise FormatError(f"{features_path}: no records")
+    feats = np.array(feats)
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if len(bad):
+        raise FormatError(
+            f"{features_path}: line {bad[0] + 2}: non-finite feature value"
+        )
 
-    table = DatasetTable(np.array(feats), np.array(labels), np.array(splits))
+    table = DatasetTable(feats, np.array(labels), np.array(splits))
     census = table.census
     for c in table.classes():
         if census.get(c, 0) < 1:

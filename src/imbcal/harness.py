@@ -136,6 +136,15 @@ def run_experiment(cfg):
         table, cfg.num_states,
         cfg.class_order if cfg.class_order is not None else cfg.protocol_seed,
     )
+    # nem and bal need an exemplar of every class seen, so B >= classes
+    needs_exemplars = [m for m in cfg.methods if m in calibration.FEATURE_METHODS]
+    seen_by_state = np.cumsum(plan.classes_per_state)
+    if needs_exemplars and cfg.memory < seen_by_state[-1]:
+        k = int(np.argmax(seen_by_state > cfg.memory))
+        raise ConfigurationError(
+            f"state {k + 1}, method {needs_exemplars[0]}: memory {cfg.memory} is "
+            f"smaller than the {seen_by_state[k]} classes seen"
+        )
     # remap labels to introduction order: class id == model row
     mapping = {orig: i for i, orig in enumerate(plan.ordering)}
     table = table.relabeled(mapping)

@@ -88,6 +88,20 @@ class TestPava:
             cand_err = float(((cand - values) ** 2).sum())
             assert cand_err >= fit_err - 1e-9
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-10, 10), st.floats(0.01, 100)),
+                    min_size=1, max_size=60))
+    def test_matches_scipy_isotonic_regression(self, pairs):
+        optimize = pytest.importorskip("scipy.optimize")
+        values, weights = (np.array(x) for x in zip(*pairs))
+        expected = optimize.isotonic_regression(values, weights=weights).x
+        assert np.allclose(pava(values, weights), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("weights", [[1.0, 0.0], [1.0, -2.0]])
+    def test_rejects_non_positive_weights(self, weights):
+        with pytest.raises(ParameterError):
+            pava([1.0, 0.0], weights)
+
 
 class TestStepMap:
     def test_separable_labels(self):

@@ -249,6 +249,15 @@ class TestFeatureFiles:
         with pytest.raises(FormatError, match="line 2"):
             load_features(f, m)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_names_line(self, tmp_path, cell):
+        f = tmp_path / "x.csv"
+        f.write_text(f"label,split,f0,f1\n0,train,1.0,2.0\n1,train,3.0,{cell}\n")
+        m = tmp_path / "x.json"
+        m.write_text('{"dim": 2, "classes": 2, "name": "t"}')
+        with pytest.raises(FormatError, match=r"x\.csv: line 3: non-finite"):
+            load_features(f, m)
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32))

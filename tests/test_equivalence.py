@@ -1,0 +1,302 @@
+"""The fast calibrator kernels against the straightforward loops they replaced.
+
+Each oracle below is the plain implementation the fast one replaced:
+list-based PAVA, Platt's Newton fit that re-evaluates the likelihood at
+every step, the scalar Fisher-Jenks DP and nem's full (n, N, d)
+difference tensor. The fast versions perform the same IEEE
+operations on the same operands, so results must match bit for bit
+(``tobytes()``), not merely to a tolerance.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from imbcal.breaks import _check, _result, fisher_jenks
+from imbcal.calibration import (
+    NEM_CHUNK_ROWS,
+    NEM_EPSILON,
+    PLATT_GRAD_TOL,
+    PLATT_MAX_ITER,
+    CalibratorState,
+    apply_nem,
+    fit_step_map,
+    pava,
+    platt_fit_binary,
+)
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def oracle_pava(values, weights=None):
+    values = np.asarray(values, dtype=np.float64)
+    if weights is None:
+        weights = np.ones_like(values)
+    weights = np.asarray(weights, dtype=np.float64)
+    levels, wsum, counts = [], [], []
+    for v, w in zip(values, weights):
+        levels.append(v)
+        wsum.append(w)
+        counts.append(1)
+        while len(levels) > 1 and levels[-2] > levels[-1]:
+            w_new = wsum[-2] + wsum[-1]
+            levels[-2] = (levels[-2] * wsum[-2] + levels[-1] * wsum[-1]) / w_new
+            wsum[-2] = w_new
+            counts[-2] += counts[-1]
+            del levels[-1], wsum[-1], counts[-1]
+    return np.repeat(levels, counts)
+
+
+def oracle_fit_step_map(scores, targets):
+    scores = np.asarray(scores, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    order = np.argsort(scores, kind="stable")
+    xs, ys = scores[order], targets[order]
+    ux, start = np.unique(xs, return_index=True)
+    pooled = np.add.reduceat(ys, start)
+    counts = np.diff(np.concatenate([start, [len(xs)]]))
+    fitted = oracle_pava(pooled / counts, counts)
+    boundaries, levels = [], [float(fitted[0])]
+    for g in range(1, len(ux)):
+        if fitted[g] != fitted[g - 1]:
+            boundaries.append(float((ux[g - 1] + ux[g]) / 2.0))
+            levels.append(float(fitted[g]))
+    return np.array(boundaries), np.array(levels)
+
+
+def _oracle_platt_nll(s, t, a, c):
+    z = np.clip(a * s + c, -500, 500)
+    p = np.clip(1.0 / (1.0 + np.exp(z)), 1e-15, 1 - 1e-15)
+    return float(-(t * np.log(p) + (1 - t) * np.log(1 - p)).sum())
+
+
+def oracle_platt(scores, positive_mask):
+    s = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(positive_mask, dtype=bool)
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    t = np.where(pos, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
+    a, c = 0.0, float(np.log((n_neg + 1.0) / (n_pos + 1.0)))
+    best = (_oracle_platt_nll(s, t, a, c), a, c)
+    converged = False
+    for _ in range(PLATT_MAX_ITER):
+        z = np.clip(a * s + c, -500, 500)
+        p = 1.0 / (1.0 + np.exp(z))
+        grad = np.array([np.sum(s * (t - p)), np.sum(t - p)])
+        if np.abs(grad).max() < PLATT_GRAD_TOL:
+            converged = True
+            break
+        w = p * (1.0 - p)
+        hess = np.array(
+            [[np.sum(s * s * w), np.sum(s * w)], [np.sum(s * w), np.sum(w)]]
+        ) + 1e-12 * np.eye(2)
+        try:
+            delta = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            break
+        current = _oracle_platt_nll(s, t, a, c)
+        step = 1.0
+        a2, c2 = a, c
+        for _ in range(30):
+            a2, c2 = a - step * delta[0], c - step * delta[1]
+            if _oracle_platt_nll(s, t, a2, c2) <= current + 1e-12:
+                break
+            step /= 2.0
+        a, c = a2, c2
+        nll = _oracle_platt_nll(s, t, a, c)
+        if nll < best[0]:
+            best = (nll, a, c)
+    if not converged:
+        _, a, c = best
+    return a, c, converged
+
+
+def oracle_fisher_jenks(values, L):
+    values = _check(values, L)
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    s1 = np.concatenate([[0.0], np.cumsum(v)])
+    s2 = np.concatenate([[0.0], np.cumsum(v * v)])
+
+    def seg_cost(i, j):
+        m = j - i
+        s = s1[j] - s1[i]
+        return (s2[j] - s2[i]) - s * s / m
+
+    best = np.full((L + 1, n + 1), np.inf)
+    best[0, n] = 0.0
+    best[1, :n] = [seg_cost(i, n) for i in range(n)]
+    for j in range(2, L + 1):
+        for i in range(n - j + 1):
+            costs = [seg_cost(i, m) + best[j - 1, m] for m in range(i + 1, n - j + 2)]
+            best[j, i] = min(costs)
+    cuts = []
+    i = 0
+    for j in range(L, 1, -1):
+        target = best[j, i]
+        tol = 1e-9 * max(1.0, abs(target))
+        for m in range(i + 1, n - j + 2):
+            if seg_cost(i, m) + best[j - 1, m] <= target + tol:
+                cuts.append(m)
+                i = m
+                break
+    return _result(values, order, cuts)
+
+
+def oracle_apply_nem(means, features):
+    diff = features[:, None, :] - means[None, :, :]
+    dists = np.sqrt((diff**2).sum(axis=2))
+    return 1.0 / (dists + NEM_EPSILON)
+
+
+# ---------------------------------------------------------------------------
+# pava
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _ulp_walk(base, steps):
+    """base moved by a whole number of ulps per entry: rounding-sensitive ties."""
+    return [base + k * np.spacing(base) for k in steps]
+
+
+weights_for = {
+    "none": lambda n: st.just(None),
+    "counts": lambda n: st.lists(st.integers(1, 50).map(float), min_size=n, max_size=n),
+    "real": lambda n: st.lists(st.floats(0.01, 100), min_size=n, max_size=n),
+}
+
+value_lists = st.one_of(
+    st.lists(st.sampled_from([0.0, 1.0]), max_size=80),  # binary targets
+    st.lists(st.sampled_from([-2.5, -1.0, 0.0, 0.25, 3.0]), max_size=80),  # ties
+    st.lists(st.floats(-1e3, 1e3), max_size=80),
+    st.lists(st.floats(-50, 0), max_size=80),  # negative
+    st.builds(
+        _ulp_walk,
+        st.sampled_from([0.1, 0.3, 1 / 3, 0.7, 2 / 3, -0.3]),
+        st.lists(st.integers(-2, 2), max_size=40),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_pava_is_bitwise_equal_to_the_list_loop(data):
+    values = data.draw(value_lists)
+    kind = data.draw(st.sampled_from(sorted(weights_for)))
+    weights = data.draw(weights_for[kind](len(values)))
+    assert _same(pava(values, weights), oracle_pava(values, weights))
+
+
+ULP_CASE = ([0.3, 0.30000000000000004, 0.3, 0.30000000000000004, 0.30000000000000004],
+            [875.0, 149.0, 927.0, 111.0, 133.0])
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_pava_reruns_when_a_rounded_mean_crosses_a_trimmed_value(mirrored):
+    # pooled alone, the middle values give a mean of 0.29999999999999993,
+    # an ulp below the leading 0.3 it must therefore pool with; mirrored,
+    # the same happens against a trailing value
+    values, weights = ULP_CASE
+    if mirrored:
+        values, weights = [-v for v in values[::-1]], weights[::-1]
+    out = pava(values, weights)
+    assert _same(out, oracle_pava(values, weights))
+    assert np.abs(out[:3] if not mirrored else out[2:]).tolist() == [0.3] * 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-5, 5), st.booleans()), min_size=1, max_size=120),
+    st.booleans(),
+)
+def test_fit_step_map_is_bitwise_equal(pairs, rounded):
+    scores = np.array([s for s, _ in pairs])
+    if rounded:  # many equal scores
+        scores = np.round(scores, 0)
+    targets = np.array([float(y) for _, y in pairs])
+    b, l = fit_step_map(scores, targets)
+    ob, ol = oracle_fit_step_map(scores, targets)
+    assert _same(b, ob) and _same(l, ol)
+
+
+# ---------------------------------------------------------------------------
+# Platt
+
+
+def _platt_bytes(result):
+    a, c, converged = result
+    return np.float64(a).tobytes(), np.float64(c).tobytes(), bool(converged)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-20, 20), st.booleans()), min_size=2, max_size=150),
+    st.sampled_from([1.0, 30.0]),
+    st.sampled_from([0.0, 1e8]),
+)
+def test_platt_is_bitwise_equal(pairs, scale, offset):
+    scores = np.array([s for s, _ in pairs]) * scale + offset
+    pos = np.array([y for _, y in pairs])
+    if pos.all() or not pos.any():
+        pos[0] = not pos[0]
+    assert _platt_bytes(platt_fit_binary(scores, pos)) == _platt_bytes(oracle_platt(scores, pos))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_platt_non_converged_fits_match(seed):
+    # a large common offset leaves the Hessian ill-conditioned, so Newton
+    # stalls and the fit returns its best iterate instead of converging
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(size=40) + 1e8
+    pos = np.arange(40) % 3 == 0
+    result = platt_fit_binary(scores, pos)
+    assert result[2] is False
+    assert _platt_bytes(result) == _platt_bytes(oracle_platt(scores, pos))
+
+
+# ---------------------------------------------------------------------------
+# Fisher-Jenks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 40), min_size=1, max_size=200),  # repeated counts
+    st.integers(1, 8),
+)
+def test_fisher_jenks_is_bitwise_equal_to_the_scalar_dp(counts, L):
+    values = np.array(counts, dtype=np.float64)
+    L = min(L, len(values))
+    fast, slow = fisher_jenks(values, L), oracle_fisher_jenks(values, L)
+    assert fast.boundaries == slow.boundaries
+    assert _same(fast.assignments, slow.assignments)
+    assert np.float64(fast.ssd).tobytes() == np.float64(slow.ssd).tobytes()
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_fisher_jenks_at_200_values_for_every_l(L):
+    values = np.random.default_rng(L).integers(1, 120, size=200).astype(np.float64)
+    fast, slow = fisher_jenks(values, L), oracle_fisher_jenks(values, L)
+    assert fast.boundaries == slow.boundaries
+    assert _same(fast.assignments, slow.assignments)
+    assert np.float64(fast.ssd).tobytes() == np.float64(slow.ssd).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# nem
+
+
+@pytest.mark.parametrize(
+    "rows", [1, NEM_CHUNK_ROWS - 1, NEM_CHUNK_ROWS, NEM_CHUNK_ROWS + 1, 2 * NEM_CHUNK_ROWS + 3]
+)
+def test_apply_nem_is_bitwise_equal_across_chunk_boundaries(rows):
+    rng = np.random.default_rng(rows)
+    means = rng.normal(size=(7, 11))
+    features = rng.normal(size=(rows, 11)) * 3
+    out = apply_nem(CalibratorState("nem", {"means": means}), features)
+    assert _same(out, oracle_apply_nem(means, features))

@@ -203,7 +203,8 @@ class TestCli:
 
     def test_calibrator_error_exits_2_with_state_and_method(self, tmp_path, capsys):
         # README quick-start config with a memory smaller than the 12 classes
-        # seen at state 3, so nem finds a class without exemplars there
+        # seen at state 3: nem would find a class without exemplars there, so
+        # the run is refused before training, naming that state
         cfg = {
             "num_states": 5,
             "memory": 10,
@@ -226,6 +227,40 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["nem", "bal"])
+    def test_memory_below_class_count_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch, method
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("imbcal.backbone.train", no_training)
+        cfg = json.loads(self.run_config(tmp_path).read_text())
+        cfg["memory"] = 3
+        cfg["methods"] = ["none", "th", method]
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert f"state 2, method {method}: memory 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_calibrator_fit_error_names_state_and_method(self, tmp_path, capsys, monkeypatch):
+        def failing_fit(ctx):
+            raise ParameterError("no usable validation scores")
+
+        monkeypatch.setattr("imbcal.calibration.fit_mb", failing_fit)
+        path = self.run_config(tmp_path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "state 1, method mb: no usable validation scores" in err
+
+    def test_non_finite_score_exits_3_with_line(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,s0,s1\n0,2.0,1.0\n1,nan,2.0\n")
+        assert main(["calibrate", "--method", "iso", "--scores", str(scores)]) == 3
+        assert "s.csv: line 3: non-finite score" in capsys.readouterr().err
 
     def test_missing_scores_file_exits_3(self, tmp_path):
         assert main(["calibrate", "--method", "iso",
