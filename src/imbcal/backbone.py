@@ -112,12 +112,6 @@ def softmax(score_matrix):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _mean_loss(logits, labels):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    return float(np.mean(logz - shifted[np.arange(len(labels)), labels]))
-
-
 def train(model, table, config):
     """Mini-batch SGD on softmax cross-entropy over train-split records.
 
@@ -150,10 +144,14 @@ def train(model, table, config):
             idx = perm[start : start + config.batch_size]
             Xb, yb = X[idx], y[idx]
             logits = Xb @ W.T + b
-            probs = softmax(logits)
-            epoch_loss += _mean_loss(logits, yb) * len(idx)
-            grad = probs
-            grad[np.arange(len(idx)), yb] -= 1.0
+            # one exp per batch serves both the loss and the softmax gradient
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            z = e.sum(axis=1, keepdims=True)
+            rows = np.arange(len(idx))
+            epoch_loss += float(np.mean(np.log(z[:, 0]) - shifted[rows, yb])) * len(idx)
+            grad = e / z
+            grad[rows, yb] -= 1.0
             grad /= len(idx)
             W -= lr * grad.T @ Xb
             b -= lr * grad.sum(axis=0)

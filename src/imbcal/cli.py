@@ -6,7 +6,7 @@ Subcommands:
   breaks     Fisher-Jenks natural breaks of a value list, as JSON
   calibrate  fit-and-apply a score-based calibrator to a labeled score CSV
 
-Exit codes: 0 success, 2 configuration/usage error, 3 data error.
+Exit codes: 0 success, 2 configuration/usage error, 3 data or file error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -90,7 +91,13 @@ def _read_scores(path):
     bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
     if len(bad):
         raise FormatError(f"{path}: line {bad[0] + 2}: non-finite score")
-    return scores, np.array(labels, dtype=np.int64)
+    labels = np.array(labels, dtype=np.int64)
+    bad = np.flatnonzero((labels < 0) | (labels >= n_cols))
+    if len(bad):
+        raise FormatError(
+            f"{path}: line {bad[0] + 2}: label {labels[bad[0]]} out of [0, {n_cols})"
+        )
+    return scores, labels
 
 
 def _read_counts(path, num_classes):
@@ -129,9 +136,14 @@ def _cmd_run(args):
     except json.JSONDecodeError as exc:
         raise ParameterError(f"{args.config}: invalid JSON ({exc})") from exc
     cfg = harness.config_from_dict(obj)
-    reports, summary = harness.run_experiment(cfg)
     out_dir = args.out or cfg.output_dir or "."
-    harness.write_outputs(reports, summary, out_dir)
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ParameterError(f"{out_dir}: output path exists and is not a directory")
+    reports, summary = harness.run_experiment(cfg)
+    try:
+        harness.write_outputs(reports, summary, out_dir)
+    except OSError as exc:
+        raise OSError(f"cannot write outputs to {out_dir}: {exc}") from exc
     print(f"wrote states.csv, summary.json, figdata.csv to {out_dir}")
 
 
@@ -207,7 +219,7 @@ def main(argv=None):
     except (ParameterError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

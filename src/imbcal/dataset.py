@@ -351,7 +351,7 @@ def load_features(features_path, manifest_path):
                     f"{features_path}: line {lineno}: unknown split tag {row[1]!r}"
                 )
             try:
-                values = [float(v) for v in row[2:]]
+                values = list(map(float, row[2:]))
             except ValueError:
                 raise FormatError(
                     f"{features_path}: line {lineno}: non-numeric feature value"

@@ -86,6 +86,9 @@ def config_from_dict(obj):
             raise ParameterError("data must configure 'synthetic' or 'features'")
         t = obj.get("train", {})
         seeds = obj.get("seeds", {})
+        methods = obj.get("methods", list(ALL_METHODS))
+        if not isinstance(methods, list):
+            raise ParameterError(f"methods must be a JSON list of tags, got {methods!r}")
         return ExperimentConfig(
             num_states=int(obj["num_states"]),
             memory=int(obj["memory"]),
@@ -100,7 +103,7 @@ def config_from_dict(obj):
                 lr_decay=float(t.get("decay", 0.1)),
                 batch_size=int(t.get("batch_size", 32)),
             ),
-            methods=tuple(obj.get("methods", ALL_METHODS)),
+            methods=tuple(methods),
             val_fraction=float(obj.get("val_fraction", 0.1)),
             data_seed=int(seeds.get("data", 0)),
             model_seed=int(seeds.get("model", 0)),

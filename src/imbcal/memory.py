@@ -47,22 +47,26 @@ class MemoryBuffer:
         return sum(len(s) for s in self.classes.values())
 
 
-def herd_order(class_features):
-    """Greedy running-mean herding order over one class's feature vectors.
+def herd_order(class_features, count):
+    """First ``count`` picks of the greedy running-mean herding order.
 
     At step t the unchosen sample whose inclusion brings the running mean
     closest (L2) to the class mean is picked; ties break to the lowest
-    index.
+    index. Each pick depends only on the earlier ones, so stopping after
+    ``min(count, n)`` steps gives exactly the prefix of the full order.
     """
     feats = np.asarray(class_features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 1:
         raise ParameterError("herd_order needs at least one feature vector")
+    if count < 0:
+        raise ParameterError("count must be >= 0")
     n = feats.shape[0]
+    steps = min(count, n)
     mu = feats.mean(axis=0)
-    order = np.empty(n, dtype=np.int64)
+    order = np.empty(steps, dtype=np.int64)
     running = np.zeros(feats.shape[1])
     available = np.ones(n, dtype=bool)
-    for t in range(1, n + 1):
+    for t in range(1, steps + 1):
         candidate_means = (running + feats) / t
         dists = np.sqrt(((candidate_means - mu) ** 2).sum(axis=1))
         dists[~available] = np.inf
@@ -85,7 +89,8 @@ def admit_and_rebalance(buffer, new_class_data, n_classes_total):
     """Add new classes and shrink old quotas to fit the capacity.
 
     Old classes keep a prefix of their stored ordering; new classes are
-    herded fresh from the provided records (test rows are ignored).
+    herded fresh from the provided records (test rows are ignored), only
+    as far as their quota.
     """
     keep = new_class_data.splits != TEST
     data = new_class_data.subset(keep)
@@ -112,11 +117,8 @@ def admit_and_rebalance(buffer, new_class_data, n_classes_total):
             classes[c] = buffer.classes[c].truncate(q)
         else:
             idx = np.flatnonzero(data.labels == c)
-            order = herd_order(data.features[idx])
-            take = order[:q]
-            classes[c] = ExemplarSet(
-                data.features[idx][take], data.splits[idx][take], take.copy()
-            )
+            take = herd_order(data.features[idx], q)
+            classes[c] = ExemplarSet(data.features[idx][take], data.splits[idx][take], take)
     return MemoryBuffer(buffer.capacity, buffer.state_index + 1, data.dim, classes)
 
 

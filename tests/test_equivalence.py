@@ -1,11 +1,12 @@
-"""The fast calibrator kernels against the straightforward loops they replaced.
+"""The fast kernels against the straightforward loops they replaced.
 
 Each oracle below is the plain implementation the fast one replaced:
 list-based PAVA, Platt's Newton fit that re-evaluates the likelihood at
-every step, the scalar Fisher-Jenks DP and nem's full (n, N, d)
-difference tensor. The fast versions perform the same IEEE
-operations on the same operands, so results must match bit for bit
-(``tobytes()``), not merely to a tolerance.
+every step, the scalar Fisher-Jenks DP, nem's full (n, N, d) difference
+tensor, herding that orders every row of a class, and SGD that takes the
+softmax and the loss with an exp each. The fast versions perform the
+same IEEE operations on the same operands, so results must match bit
+for bit (``tobytes()``), not merely to a tolerance.
 """
 
 import numpy as np
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imbcal import rng
+from imbcal.backbone import PLATEAU_TOL, LinearModel, TrainConfig, extend_model, softmax, train
 from imbcal.breaks import _check, _result, fisher_jenks
 from imbcal.calibration import (
     NEM_CHUNK_ROWS,
@@ -25,6 +28,8 @@ from imbcal.calibration import (
     pava,
     platt_fit_binary,
 )
+from imbcal.dataset import TRAIN, DatasetTable
+from imbcal.memory import herd_order
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -149,6 +154,67 @@ def oracle_apply_nem(means, features):
     diff = features[:, None, :] - means[None, :, :]
     dists = np.sqrt((diff**2).sum(axis=2))
     return 1.0 / (dists + NEM_EPSILON)
+
+
+def oracle_herd_order(class_features):
+    feats = np.asarray(class_features, dtype=np.float64)
+    n = feats.shape[0]
+    mu = feats.mean(axis=0)
+    order = np.empty(n, dtype=np.int64)
+    running = np.zeros(feats.shape[1])
+    available = np.ones(n, dtype=bool)
+    for t in range(1, n + 1):
+        candidate_means = (running + feats) / t
+        dists = np.sqrt(((candidate_means - mu) ** 2).sum(axis=1))
+        dists[~available] = np.inf
+        pick = int(np.argmin(dists))
+        order[t - 1] = pick
+        available[pick] = False
+        running += feats[pick]
+    return order
+
+
+def _oracle_mean_loss(logits, labels):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=1))
+    return float(np.mean(logz - shifted[np.arange(len(labels)), labels]))
+
+
+def oracle_train(model, table, config):
+    """The SGD loop with separate softmax and loss; also returns the final lr."""
+    part = table.only(split=TRAIN)
+    X, y = part.features, part.labels
+    n = len(y)
+    W = model.weights.copy()
+    b = model.biases.copy()
+    generator = rng.op_rng(config.seed, rng.SHUFFLE)
+    lr = config.initial_lr
+    best = np.inf
+    stall = 0
+    for _ in range(config.epochs):
+        perm = generator.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            Xb, yb = X[idx], y[idx]
+            logits = Xb @ W.T + b
+            probs = softmax(logits)
+            epoch_loss += _oracle_mean_loss(logits, yb) * len(idx)
+            grad = probs
+            grad[np.arange(len(idx)), yb] -= 1.0
+            grad /= len(idx)
+            W -= lr * grad.T @ Xb
+            b -= lr * grad.sum(axis=0)
+        epoch_loss /= n
+        if best - epoch_loss >= PLATEAU_TOL:
+            best = epoch_loss
+            stall = 0
+        else:
+            stall += 1
+            if stall >= config.plateau_patience:
+                lr *= config.lr_decay
+                stall = 0
+    return LinearModel(W, b), lr
 
 
 # ---------------------------------------------------------------------------
@@ -300,3 +366,91 @@ def test_apply_nem_is_bitwise_equal_across_chunk_boundaries(rows):
     features = rng.normal(size=(rows, 11)) * 3
     out = apply_nem(CalibratorState("nem", {"means": means}), features)
     assert _same(out, oracle_apply_nem(means, features))
+
+
+# ---------------------------------------------------------------------------
+# herding
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 6),
+    st.data(),
+    st.booleans(),
+)
+def test_herd_order_is_the_prefix_of_the_full_order(n, d, data, rounded):
+    values = data.draw(st.lists(st.floats(-10, 10), min_size=n * d, max_size=n * d))
+    feats = np.array(values).reshape(n, d)
+    if rounded:  # tied rows and tied candidate distances
+        feats = np.round(feats / 4)
+    q = data.draw(st.integers(0, n + 3))
+    assert _same(herd_order(feats, q), oracle_herd_order(feats)[:q])
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("q", [0, 1, 29, 30, 31, 500])
+def test_herd_order_prefix_at_the_edges(d, q):
+    # 30 rows rounded to a few grid points: many exact ties
+    feats = np.round(np.random.default_rng(d).normal(size=(30, d)))
+    assert _same(herd_order(feats, q), oracle_herd_order(feats)[:q])
+
+
+def test_herd_order_keeps_the_sqrt_that_ties_rounded_distances():
+    # both rows lie equally far from the mean; rounding leaves row 1's squared
+    # distance an ulp smaller, and the sqrt maps both to one value, so the
+    # first pick is the lower index, as in the full order
+    feats = np.array([[1.8, 0.3], [-0.1, 1.4]])
+    squared = ((feats - feats.mean(axis=0)) ** 2).sum(axis=1)
+    assert squared[1] < squared[0] and np.sqrt(squared[1]) == np.sqrt(squared[0])
+    assert herd_order(feats, 1).tolist() == [0]
+    assert _same(herd_order(feats, 2), oracle_herd_order(feats))
+
+
+# ---------------------------------------------------------------------------
+# train
+
+
+def _train_case(n, classes, dim, seed):
+    gen = np.random.default_rng(seed)
+    labels = np.arange(n) % classes
+    feats = gen.normal(size=(n, dim)) + labels[:, None]
+    splits = np.where(np.arange(n) % 5 == 4, "val", "train")
+    model = extend_model(None, classes, dim, seed)
+    return model, DatasetTable(feats, labels, splits)
+
+
+def _same_model(a, b):
+    return _same(a.weights, b.weights) and _same(a.biases, b.biases)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 60),
+    st.integers(2, 5),
+    st.integers(1, 5),
+    st.integers(0, 2**16),
+    st.sampled_from([1, 3, 7, 32, 100]),
+    st.integers(1, 8),
+    st.integers(1, 3),
+)
+def test_train_is_bitwise_equal_to_softmax_plus_loss(
+    n, classes, dim, seed, batch_size, epochs, patience
+):
+    model, table = _train_case(n, classes, dim, seed)
+    config = TrainConfig(epochs=epochs, batch_size=batch_size,
+                         plateau_patience=patience, seed=seed)
+    expected, _ = oracle_train(model, table, config)
+    assert _same_model(train(model, table, config), expected)
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 32])
+def test_train_matches_through_plateau_decay(batch_size):
+    # with a large step the loss soon stops improving by PLATEAU_TOL,
+    # so the learning rate decays (asserted below)
+    model, table = _train_case(53, 3, 4, batch_size)
+    config = TrainConfig(epochs=30, initial_lr=0.5, batch_size=batch_size,
+                         plateau_patience=1, seed=batch_size)
+    expected, final_lr = oracle_train(model, table, config)
+    assert final_lr < config.initial_lr
+    assert _same_model(train(model, table, config), expected)

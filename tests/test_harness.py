@@ -141,6 +141,15 @@ class TestConfig:
         with pytest.raises(ParameterError):
             small_config(methods=("none", "magic"))
 
+    def test_methods_string_rejected_as_not_a_list(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "num_states": 2, "memory": 8, "methods": "none",
+            "data": {"synthetic": {"classes": 4, "dim": 3, "per_class": 15}},
+        }))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "methods must be a JSON list of tags, got 'none'" in capsys.readouterr().err
+
 
 class TestCli:
     def run_config(self, tmp_path):
@@ -265,6 +274,49 @@ class TestCli:
     def test_missing_scores_file_exits_3(self, tmp_path):
         assert main(["calibrate", "--method", "iso",
                      "--scores", str(tmp_path / "nope.csv")]) == 3
+
+    @pytest.mark.parametrize("method, label, line", [
+        ("iso", "5", 3), ("mb", "5", 3), ("pl", "-1", 2),
+    ])
+    def test_score_label_out_of_range_exits_3_with_line(
+        self, tmp_path, capsys, method, label, line
+    ):
+        rows = ["0,2.0,1.0", "1,1.0,2.0"]
+        rows[line - 2] = f"{label},1.5,0.5"
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,s0,s1\n" + "\n".join(rows) + "\n")
+        argv = ["calibrate", "--method", method, "--scores", str(scores)]
+        if method == "mb":
+            argv += ["--old", "0", "--new", "1"]
+        assert main(argv) == 3
+        assert f"s.csv: line {line}: label {label} out of [0, 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["--out", "output_dir"])
+    def test_out_naming_a_file_exits_2_before_run(self, tmp_path, capsys, monkeypatch, via):
+        def no_run(cfg):
+            raise AssertionError("experiment started")
+
+        monkeypatch.setattr("imbcal.harness.run_experiment", no_run)
+        target = tmp_path / "taken.txt"
+        target.write_text("keep me\n")
+        path = self.run_config(tmp_path)
+        argv = ["run", "--config", str(path)]
+        if via == "--out":
+            argv += ["--out", str(target)]
+        else:
+            cfg = json.loads(path.read_text())
+            cfg["output_dir"] = str(target)
+            path.write_text(json.dumps(cfg))
+        assert main(argv) == 2
+        assert f"{target}: output path exists and is not a directory" in capsys.readouterr().err
+        assert target.read_text() == "keep me\n"
+
+    def test_output_write_error_exits_3_with_path(self, tmp_path, capsys):
+        cfg = self.run_config(tmp_path)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"  # a path below a regular file
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert f"cannot write outputs to {out}" in capsys.readouterr().err
 
 
 def test_summarize_rejects_single_state():

@@ -29,20 +29,20 @@ def table_for(class_sizes, dim=3, seed=0):
 
 class TestHerdOrder:
     def test_single_sample(self):
-        assert herd_order(np.array([[1.0, 2.0]])).tolist() == [0]
+        assert herd_order(np.array([[1.0, 2.0]]), 1).tolist() == [0]
 
     def test_hand_worked_example(self):
         # mean is (1,1); step-1 distances are sqrt(2), 1, 1, sqrt(8) so the
         # tie between indices 1 and 2 breaks low; remaining picks follow
         # the running-mean objective
         feats = np.array([[0, 0], [1, 0], [0, 1], [3, 3]], dtype=float)
-        assert herd_order(feats).tolist() == [1, 2, 3, 0]
+        assert herd_order(feats, len(feats)).tolist() == [1, 2, 3, 0]
 
     def test_prefix_property(self):
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(12, 4))
-        full = herd_order(feats)
-        assert full[:5].tolist() == herd_order(feats)[:5].tolist()
+        full = herd_order(feats, len(feats))
+        assert full[:5].tolist() == herd_order(feats, 5)[:5].tolist()
 
     def test_first_pick_minimizes_distance_to_mean(self):
         rng = np.random.default_rng(7)
@@ -50,16 +50,20 @@ class TestHerdOrder:
             feats = rng.normal(size=(rng.integers(2, 20), 3))
             mu = feats.mean(axis=0)
             dists = np.linalg.norm(feats - mu, axis=1)
-            first = herd_order(feats)[0]
+            first = herd_order(feats, len(feats))[0]
             assert dists[first] == pytest.approx(dists.min())
 
     def test_deterministic_pure(self):
         feats = np.random.default_rng(1).normal(size=(9, 2))
-        assert herd_order(feats).tolist() == herd_order(feats).tolist()
+        assert herd_order(feats, len(feats)).tolist() == herd_order(feats, len(feats)).tolist()
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            herd_order(np.empty((0, 2)))
+            herd_order(np.empty((0, 2)), 0)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ParameterError):
+            herd_order(np.ones((3, 2)), -1)
 
 
 class TestQuotas:
