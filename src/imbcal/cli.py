@@ -65,29 +65,25 @@ def _build_parser():
 
 
 def _read_scores(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
+    with open(path, encoding="utf-8") as fh:
+        header = dataset.read_header(fh, path)
         if not header or header[0] != "label":
             raise FormatError(f"{path}: first column must be 'label'")
         n_cols = len(header) - 1
         if n_cols < 1:
             raise FormatError(f"{path}: no score columns")
-        labels, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != n_cols + 1:
+
+        def parse_label(lineno, fields, n_fields):
+            if n_fields != n_cols + 1:
                 raise FormatError(f"{path}: line {lineno}: expected {n_cols + 1} fields")
             try:
-                labels.append(int(row[0]))
-                rows.append([float(v) for v in row[1:]])
+                return int(fields[0])
             except ValueError:
                 raise FormatError(f"{path}: line {lineno}: non-numeric value") from None
-    if not rows:
+
+        labels, scores = dataset.read_rows(fh, path, 1, n_cols, parse_label, "non-numeric value")
+    if not labels:
         raise FormatError(f"{path}: no records")
-    scores = np.array(rows)
     bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
     if len(bad):
         raise FormatError(f"{path}: line {bad[0] + 2}: non-finite score")
@@ -139,6 +135,11 @@ def _cmd_run(args):
     out_dir = args.out or cfg.output_dir or "."
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise ParameterError(f"{out_dir}: output path exists and is not a directory")
+    ancestor = os.path.abspath(out_dir)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise OSError(f"cannot write outputs to {out_dir}: {ancestor} is not a directory")
     reports, summary = harness.run_experiment(cfg)
     try:
         harness.write_outputs(reports, summary, out_dir)

@@ -304,6 +304,76 @@ def census_stats(table):
     return float(counts.mean()), float(counts.std())
 
 
+# data lines per np.loadtxt call in read_rows; bounds the text held at once
+CSV_CHUNK_ROWS = 1024
+
+
+def read_header(fh, path):
+    """The fields of an open CSV's first line; a blank line has none."""
+    line = fh.readline()
+    if not line:
+        raise FormatError(f"{path}: empty file")
+    line = line.rstrip("\n")
+    return line.split(",") if line else []
+
+
+def _parse_values(path, lines, first_lineno, width, non_numeric):
+    """Parse comma-separated float lines into a (len(lines), width) matrix."""
+    if not lines:
+        return np.empty((0, width))
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    # loadtxt skips empty lines, so a short matrix hides an empty cell
+    if values is not None and values.shape == (len(lines), width):
+        return values
+    for lineno, line in enumerate(lines, start=first_lineno):
+        try:
+            ok = line != "" and np.loadtxt([line], delimiter=",", comments=None).size == width
+        except ValueError:
+            ok = False
+        if not ok:
+            raise FormatError(f"{path}: line {lineno}: {non_numeric}")
+    raise FormatError(f"{path}: lines {first_lineno}-{lineno}: {non_numeric}")
+
+
+def read_rows(fh, path, lead, width, parse_lead, non_numeric):
+    """Parse the data lines of an open numeric CSV, numbered from line 2.
+
+    Every line is one unquoted record: ``lead`` leading fields, then
+    ``width`` floats. ``parse_lead(lineno, fields, n_fields)`` checks the
+    field count and ``fields[:lead]`` and returns what to keep of them. The
+    floats go to ``np.loadtxt`` ``CSV_CHUNK_ROWS`` lines at a time, which
+    rounds them as ``float()`` does but rejects ``_`` separators and
+    non-ASCII digits. A line whose floats do not parse raises
+    ``"{path}: line N: {non_numeric}"``. Errors come in line order, so the
+    first faulty line is the one reported.
+
+    Returns the list of ``parse_lead`` results and the (n, width) matrix.
+    """
+    leads, blocks, pending = [], [], []
+    first_lineno = 2  # line number of pending[0]
+    error = None
+    for lineno, line in enumerate(fh, start=2):
+        line = line.rstrip("\n")
+        fields = line.split(",", lead)
+        try:
+            leads.append(parse_lead(lineno, fields, line.count(",") + 1 if line else 0))
+        except FormatError as exc:
+            error = exc
+            break
+        pending.append(fields[lead])
+        if len(pending) == CSV_CHUNK_ROWS:
+            blocks.append(_parse_values(path, pending, first_lineno, width, non_numeric))
+            pending, first_lineno = [], lineno + 1
+    # an unparsable value before the faulty line is the earlier error
+    blocks.append(_parse_values(path, pending, first_lineno, width, non_numeric))
+    if error is not None:
+        raise error
+    return leads, np.concatenate(blocks)
+
+
 def load_features(features_path, manifest_path):
     """Read a feature CSV plus its JSON manifest into a DatasetTable."""
     try:
@@ -319,55 +389,46 @@ def load_features(features_path, manifest_path):
     if dim < 1 or num_classes < 1:
         raise FormatError(f"{manifest_path}: dim and classes must be positive")
 
-    feats, labels, splits = [], [], []
-    with open(features_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    def parse_lead(lineno, fields, n_fields):
+        if n_fields != dim + 2:
+            raise FormatError(
+                f"{features_path}: line {lineno}: expected {dim + 2} fields, got {n_fields}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{features_path}: empty file") from None
+            label = int(fields[0])
+        except ValueError:
+            raise FormatError(
+                f"{features_path}: line {lineno}: non-integer label {fields[0]!r}"
+            ) from None
+        if not 0 <= label < num_classes:
+            raise FormatError(
+                f"{features_path}: line {lineno}: label {label} out of [0, {num_classes})"
+            )
+        if fields[1] not in SPLITS:
+            raise FormatError(
+                f"{features_path}: line {lineno}: unknown split tag {fields[1]!r}"
+            )
+        return label, fields[1]
+
+    with open(features_path, encoding="utf-8") as fh:
+        header = read_header(fh, features_path)
         expected = ["label", "split"] + [f"f{i}" for i in range(dim)]
         if header != expected:
             raise FormatError(
                 f"{features_path}: line 1: bad header, expected {','.join(expected)}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != dim + 2:
-                raise FormatError(
-                    f"{features_path}: line {lineno}: expected {dim + 2} fields, got {len(row)}"
-                )
-            try:
-                label = int(row[0])
-            except ValueError:
-                raise FormatError(
-                    f"{features_path}: line {lineno}: non-integer label {row[0]!r}"
-                ) from None
-            if not 0 <= label < num_classes:
-                raise FormatError(
-                    f"{features_path}: line {lineno}: label {label} out of [0, {num_classes})"
-                )
-            if row[1] not in SPLITS:
-                raise FormatError(
-                    f"{features_path}: line {lineno}: unknown split tag {row[1]!r}"
-                )
-            try:
-                values = list(map(float, row[2:]))
-            except ValueError:
-                raise FormatError(
-                    f"{features_path}: line {lineno}: non-numeric feature value"
-                ) from None
-            labels.append(label)
-            splits.append(row[1])
-            feats.append(values)
-    if not labels:
+        leads, feats = read_rows(
+            fh, features_path, 2, dim, parse_lead, "non-numeric feature value"
+        )
+    if not leads:
         raise FormatError(f"{features_path}: no records")
-    feats = np.array(feats)
     bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
     if len(bad):
         raise FormatError(
             f"{features_path}: line {bad[0] + 2}: non-finite feature value"
         )
 
+    labels, splits = zip(*leads)
     table = DatasetTable(feats, np.array(labels), np.array(splits))
     census = table.census
     for c in table.classes():

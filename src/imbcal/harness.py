@@ -63,6 +63,14 @@ class ExperimentConfig:
             raise ParameterError("memory must be >= 0 and num_states >= 2")
 
 
+def _typed(obj, key, kind, default, described):
+    """``obj[key]`` (or ``default`` when absent) if it is a ``kind``."""
+    value = obj.get(key, default)
+    if value is not default and not isinstance(value, kind):
+        raise ParameterError(f"{key} must be {described}, got {value!r}")
+    return value
+
+
 def config_from_dict(obj):
     """Build an ExperimentConfig from the documented JSON schema."""
     try:
@@ -84,11 +92,10 @@ def config_from_dict(obj):
             manifest_path = data["features"]["manifest_path"]
         else:
             raise ParameterError("data must configure 'synthetic' or 'features'")
-        t = obj.get("train", {})
-        seeds = obj.get("seeds", {})
-        methods = obj.get("methods", list(ALL_METHODS))
-        if not isinstance(methods, list):
-            raise ParameterError(f"methods must be a JSON list of tags, got {methods!r}")
+        t = _typed(obj, "train", dict, {}, "a JSON object")
+        seeds = _typed(obj, "seeds", dict, {}, "a JSON object")
+        methods = _typed(obj, "methods", list, list(ALL_METHODS), "a JSON list of tags")
+        class_order = _typed(obj, "class_order", list, None, "a JSON list of class ids")
         return ExperimentConfig(
             num_states=int(obj["num_states"]),
             memory=int(obj["memory"]),
@@ -108,7 +115,7 @@ def config_from_dict(obj):
             data_seed=int(seeds.get("data", 0)),
             model_seed=int(seeds.get("model", 0)),
             protocol_seed=int(seeds.get("protocol", 0)),
-            class_order=(tuple(obj["class_order"]) if obj.get("class_order") else None),
+            class_order=tuple(class_order) if class_order else None,
             ece_bins=int(obj.get("ece_bins", metrics.ECE_BINS_DEFAULT)),
             output_dir=obj.get("output_dir"),
         )

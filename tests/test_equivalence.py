@@ -3,18 +3,26 @@
 Each oracle below is the plain implementation the fast one replaced:
 list-based PAVA, Platt's Newton fit that re-evaluates the likelihood at
 every step, the scalar Fisher-Jenks DP, nem's full (n, N, d) difference
-tensor, herding that orders every row of a class, and SGD that takes the
-softmax and the loss with an exp each. The fast versions perform the
-same IEEE operations on the same operands, so results must match bit
-for bit (``tobytes()``), not merely to a tolerance.
+tensor, herding that orders every row of a class, SGD that takes the
+softmax and the loss with an exp each, and the feature and score CSV
+loaders that call ``float`` on each ``csv.reader`` cell. The fast
+versions perform the same IEEE operations on the same operands, so
+results must match bit for bit (``tobytes()``), not merely to a
+tolerance; the loaders must also fail with the same message and line.
 """
+
+import csv
+import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbcal import rng
+from imbcal import dataset, rng
 from imbcal.backbone import PLATEAU_TOL, LinearModel, TrainConfig, extend_model, softmax, train
 from imbcal.breaks import _check, _result, fisher_jenks
 from imbcal.calibration import (
@@ -28,7 +36,9 @@ from imbcal.calibration import (
     pava,
     platt_fit_binary,
 )
-from imbcal.dataset import TRAIN, DatasetTable
+from imbcal.cli import _read_scores, main
+from imbcal.dataset import SPLITS, TRAIN, DatasetTable, load_features
+from imbcal.errors import FormatError
 from imbcal.memory import herd_order
 
 # ---------------------------------------------------------------------------
@@ -215,6 +225,105 @@ def oracle_train(model, table, config):
                 lr *= config.lr_decay
                 stall = 0
     return LinearModel(W, b), lr
+
+
+def oracle_load_features(features_path, manifest_path):
+    """The csv.reader loader: one ``float`` call per cell."""
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    dim = int(manifest["dim"])
+    num_classes = int(manifest["classes"])
+    feats, labels, splits = [], [], []
+    with open(features_path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise FormatError(f"{features_path}: empty file") from None
+        expected = ["label", "split"] + [f"f{i}" for i in range(dim)]
+        if header != expected:
+            raise FormatError(
+                f"{features_path}: line 1: bad header, expected {','.join(expected)}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != dim + 2:
+                raise FormatError(
+                    f"{features_path}: line {lineno}: expected {dim + 2} fields, got {len(row)}"
+                )
+            try:
+                label = int(row[0])
+            except ValueError:
+                raise FormatError(
+                    f"{features_path}: line {lineno}: non-integer label {row[0]!r}"
+                ) from None
+            if not 0 <= label < num_classes:
+                raise FormatError(
+                    f"{features_path}: line {lineno}: label {label} out of [0, {num_classes})"
+                )
+            if row[1] not in SPLITS:
+                raise FormatError(
+                    f"{features_path}: line {lineno}: unknown split tag {row[1]!r}"
+                )
+            try:
+                values = list(map(float, row[2:]))
+            except ValueError:
+                raise FormatError(
+                    f"{features_path}: line {lineno}: non-numeric feature value"
+                ) from None
+            labels.append(label)
+            splits.append(row[1])
+            feats.append(values)
+    if not labels:
+        raise FormatError(f"{features_path}: no records")
+    feats = np.array(feats)
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if len(bad):
+        raise FormatError(
+            f"{features_path}: line {bad[0] + 2}: non-finite feature value"
+        )
+    table = DatasetTable(feats, np.array(labels), np.array(splits))
+    census = table.census
+    for c in table.classes():
+        if census.get(c, 0) < 1:
+            raise FormatError(f"{features_path}: class {c} has no train records")
+    return table
+
+
+def oracle_read_scores(path):
+    """The csv.reader score loader: one ``float`` call per cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise FormatError(f"{path}: empty file") from None
+        if not header or header[0] != "label":
+            raise FormatError(f"{path}: first column must be 'label'")
+        n_cols = len(header) - 1
+        if n_cols < 1:
+            raise FormatError(f"{path}: no score columns")
+        labels, rows = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != n_cols + 1:
+                raise FormatError(f"{path}: line {lineno}: expected {n_cols + 1} fields")
+            try:
+                labels.append(int(row[0]))
+                rows.append([float(v) for v in row[1:]])
+            except ValueError:
+                raise FormatError(f"{path}: line {lineno}: non-numeric value") from None
+    if not rows:
+        raise FormatError(f"{path}: no records")
+    scores = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
+    if len(bad):
+        raise FormatError(f"{path}: line {bad[0] + 2}: non-finite score")
+    labels = np.array(labels, dtype=np.int64)
+    bad = np.flatnonzero((labels < 0) | (labels >= n_cols))
+    if len(bad):
+        raise FormatError(
+            f"{path}: line {bad[0] + 2}: label {labels[bad[0]]} out of [0, {n_cols})"
+        )
+    return scores, labels
 
 
 # ---------------------------------------------------------------------------
@@ -454,3 +563,210 @@ def test_train_matches_through_plateau_decay(batch_size):
     expected, final_lr = oracle_train(model, table, config)
     assert final_lr < config.initial_lr
     assert _same_model(train(model, table, config), expected)
+
+
+# ---------------------------------------------------------------------------
+# feature and score CSV loaders
+
+NUM_CLASSES = 3
+
+
+def _write_features(directory, dim, lines, newline="\n", final=True):
+    """A feature CSV holding ``lines`` as its data lines, and its manifest."""
+    header = ",".join(["label", "split"] + [f"f{i}" for i in range(dim)])
+    features = Path(directory) / "x.csv"
+    features.write_bytes((newline.join([header] + lines) + newline * final).encode())
+    manifest = Path(directory) / "x.json"
+    manifest.write_text(json.dumps({"dim": dim, "classes": NUM_CLASSES, "name": "t"}))
+    return features, manifest
+
+
+def _write_scores(directory, width, lines, newline="\n", final=True):
+    header = ",".join(["label"] + [f"s{i}" for i in range(width)])
+    scores = Path(directory) / "s.csv"
+    scores.write_bytes((newline.join([header] + lines) + newline * final).encode())
+    return (scores,)
+
+
+def _outcome(load, *paths):
+    """A loader's arrays as (dtype, shape, bytes), or the message it fails with."""
+    try:
+        result = load(*paths)
+    except FormatError as exc:
+        return "error", str(exc)
+    if isinstance(result, DatasetTable):
+        result = (result.features, result.labels, result.splits)
+    return "ok", tuple((a.dtype.str, a.shape, a.tobytes()) for a in result)
+
+
+def _short(v):
+    """repr without the leading zero: '.5', '-.25'."""
+    text = repr(v)
+    return text.replace("0.", ".", 1) if text.lstrip("-").startswith("0.") else text
+
+
+CELL_FORMATS = (
+    repr,
+    lambda v: format(v, ".17g"),
+    lambda v: format(v, ".3g"),
+    lambda v: format(v, ".6e"),
+    lambda v: format(v, "+E"),
+    lambda v: format(v, ".0f") + ".",
+    _short,
+)
+cells = st.builds(
+    lambda v, fmt: fmt(v),
+    st.one_of(st.floats(-1e300, 1e300), st.just(-0.0)),
+    st.sampled_from(CELL_FORMATS),
+)
+file_shapes = dict(
+    width=st.integers(1, 6),
+    data=st.data(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final=st.booleans(),
+    chunk=st.sampled_from([1, 2, 3, 7, dataset.CSV_CHUNK_ROWS]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**file_shapes)
+def test_load_features_is_bitwise_equal_to_the_csv_loop(width, data, newline, final, chunk):
+    rows = data.draw(st.lists(
+        st.tuples(st.integers(0, NUM_CLASSES - 1), st.sampled_from(SPLITS),
+                  st.lists(cells, min_size=width, max_size=width)),
+        min_size=1, max_size=40,
+    ))
+    lines, seen = [], set()
+    for label, split, values in rows:
+        if label not in seen:  # every class needs a train record
+            split = TRAIN
+            seen.add(label)
+        lines.append(",".join([str(label), split, *values]))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dataset, "CSV_CHUNK_ROWS", chunk):
+        paths = _write_features(tmp, width, lines, newline, final)
+        expected = _outcome(oracle_load_features, *paths)
+        assert expected[0] == "ok"
+        assert _outcome(load_features, *paths) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(**file_shapes)
+def test_read_scores_is_bitwise_equal_to_the_csv_loop(width, data, newline, final, chunk):
+    rows = data.draw(st.lists(
+        st.tuples(st.integers(0, width - 1), st.lists(cells, min_size=width, max_size=width)),
+        min_size=1, max_size=40,
+    ))
+    lines = [",".join([str(label), *values]) for label, values in rows]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dataset, "CSV_CHUNK_ROWS", chunk):
+        paths = _write_scores(tmp, width, lines, newline, final)
+        expected = _outcome(oracle_read_scores, *paths)
+        assert expected[0] == "ok"
+        assert _outcome(_read_scores, *paths) == expected
+
+
+# name -> (width, faulty lines, index of the line the error must name)
+FEATURE_FAULTS = {
+    "ragged row": (2, ["1,train,1.0"], 0),
+    "empty cell": (2, ["1,train,1.0,"], 0),
+    "empty cell at dim 1": (1, ["0,train,"], 0),
+    "blank line": (2, [""], 0),
+    "non-integer label": (2, ["x,train,1.0,2.0"], 0),
+    "label out of range": (2, ["3,train,1.0,2.0"], 0),
+    "unknown split": (2, ["1,dev,1.0,2.0"], 0),
+    "non-numeric cell": (2, ["1,train,1.0,abc"], 0),
+    "hash leading a cell": (2, ["1,train,#1.0,2.0"], 0),
+    "hash inside a cell": (2, ["1,train,1.0,2#0"], 0),
+    "hash leading the line": (2, ["#1,train,1.0,2.0"], 0),
+    "nan": (2, ["1,train,nan,2.0"], 0),
+    "inf": (2, ["1,train,1.0,-inf"], 0),
+    "1e999": (2, ["1,train,1e999,2.0"], 0),
+    "bad value before bad split": (2, ["1,train,abc,2.0", "1,dev,1.0,2.0"], 0),
+    "nan before bad label": (2, ["1,train,nan,2.0", "9,train,1.0,2.0"], 1),
+}
+SCORE_FAULTS = {
+    "ragged row": (2, ["1,1.0"], 0),
+    "empty cell": (2, ["1,1.0,"], 0),
+    "empty cell at one column": (1, ["0,"], 0),
+    "blank line": (2, [""], 0),
+    "non-integer label": (2, ["x,1.0,2.0"], 0),
+    "label out of range": (2, ["2,1.0,2.0"], 0),
+    "non-numeric cell": (2, ["1,abc,2.0"], 0),
+    "hash in a cell": (2, ["1,1.0,2.0#"], 0),
+    "nan": (2, ["1,nan,2.0"], 0),
+    "inf": (2, ["1,1.0,inf"], 0),
+    "1e999": (2, ["1,-1e999,2.0"], 0),
+    "bad value before ragged row": (2, ["1,abc,2.0", "1,2.0"], 0),
+    "label out of range before bad value": (2, ["5,1.0,2.0", "1,2.0,abc"], 1),
+}
+TEST_CHUNK_ROWS = 4
+GOOD_LINES = 10
+# 3 and 4 sit either side of the first chunk boundary; "end" follows every good line
+FAULT_POSITIONS = [3, 4, 5, "end"]
+
+
+def _faulty_file(write, good_line, width, faults, position, newline, directory):
+    lines = [good_line(k, width) for k in range(GOOD_LINES)]
+    at = len(lines) if position == "end" else position
+    lines[at:at] = faults
+    return at, write(directory, width, lines, newline)
+
+
+def _good_feature_line(k, width):
+    return ",".join([str(k % NUM_CLASSES), TRAIN] + [f"{k}.{j}5" for j in range(width)])
+
+
+def _good_score_line(k, width):
+    return ",".join([str(k % width)] + [f"-{k}.{j}5" for j in range(width)])
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("position", FAULT_POSITIONS)
+@pytest.mark.parametrize("fault", FEATURE_FAULTS)
+def test_load_features_fails_like_the_csv_loop(
+    tmp_path, monkeypatch, fault, position, newline
+):
+    monkeypatch.setattr(dataset, "CSV_CHUNK_ROWS", TEST_CHUNK_ROWS)
+    width, faults, named = FEATURE_FAULTS[fault]
+    at, paths = _faulty_file(_write_features, _good_feature_line, width, faults,
+                             position, newline, tmp_path)
+    expected = _outcome(oracle_load_features, *paths)
+    assert expected[0] == "error" and f"x.csv: line {at + named + 2}: " in expected[1]
+    assert _outcome(load_features, *paths) == expected
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("position", FAULT_POSITIONS)
+@pytest.mark.parametrize("fault", SCORE_FAULTS)
+def test_read_scores_fails_like_the_csv_loop(tmp_path, monkeypatch, fault, position, newline):
+    monkeypatch.setattr(dataset, "CSV_CHUNK_ROWS", TEST_CHUNK_ROWS)
+    width, faults, named = SCORE_FAULTS[fault]
+    at, paths = _faulty_file(_write_scores, _good_score_line, width, faults,
+                             position, newline, tmp_path)
+    expected = _outcome(oracle_read_scores, *paths)
+    assert expected[0] == "error" and f"s.csv: line {at + named + 2}: " in expected[1]
+    assert _outcome(_read_scores, *paths) == expected
+
+
+# deliberate departures from the csv.reader loaders
+
+
+def test_quoted_fields_are_not_unquoted(tmp_path):
+    paths = _write_features(tmp_path, 2, ['0,train,"1.5",2.0'])
+    assert oracle_load_features(*paths).features[0, 0] == 1.5
+    with pytest.raises(FormatError, match=r"x\.csv: line 2: non-numeric feature value"):
+        load_features(*paths)
+
+
+@pytest.mark.parametrize("cell", ["1_0", "١٠"], ids=["underscore", "arabic-indic"])
+def test_floats_beyond_ascii_decimal_exit_3_with_their_line(tmp_path, capsys, cell):
+    assert float(cell) == 10.0  # the csv.reader loaders accepted these
+    paths = _write_features(tmp_path, 2, ["0,train,1.0,2.0", f"1,train,{cell},2.0"])
+    assert oracle_load_features(*paths).features[1, 0] == 10.0
+    with pytest.raises(FormatError, match=r"x\.csv: line 3: non-numeric feature value"):
+        load_features(*paths)
+    (scores,) = _write_scores(tmp_path, 2, ["0,2.0,1.0", f"1,{cell},2.0"])
+    assert oracle_read_scores(scores)[0][1, 0] == 10.0
+    assert main(["calibrate", "--method", "iso", "--scores", str(scores)]) == 3
+    assert "s.csv: line 3: non-numeric value" in capsys.readouterr().err

@@ -150,6 +150,26 @@ class TestConfig:
         assert main(["run", "--config", str(path)]) == 2
         assert "methods must be a JSON list of tags, got 'none'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seeds", "abc", "seeds must be a JSON object, got 'abc'"),
+        ("train", [1], "train must be a JSON object, got [1]"),
+        ("class_order", "3120", "class_order must be a JSON list of class ids, got '3120'"),
+    ])
+    def test_wrongly_typed_section_exits_2_naming_the_key(
+        self, tmp_path, capsys, monkeypatch, key, value, message
+    ):
+        def no_run(cfg):
+            raise AssertionError("experiment started")
+
+        monkeypatch.setattr("imbcal.harness.run_experiment", no_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "num_states": 2, "memory": 8, key: value,
+            "data": {"synthetic": {"classes": 4, "dim": 3, "per_class": 15}},
+        }))
+        assert main(["run", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCli:
     def run_config(self, tmp_path):
@@ -310,6 +330,19 @@ class TestCli:
         assert main(argv) == 2
         assert f"{target}: output path exists and is not a directory" in capsys.readouterr().err
         assert target.read_text() == "keep me\n"
+
+    def test_out_below_a_file_exits_3_before_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("experiment started")
+
+        monkeypatch.setattr("imbcal.harness.run_experiment", no_run)
+        (tmp_path / "file").write_text("keep me\n")
+        out = tmp_path / "file" / "deeper" / "out"
+        assert main(["run", "--config", str(self.run_config(tmp_path)), "--out", str(out)]) == 3
+        assert f"cannot write outputs to {out}: {tmp_path / 'file'} is not a directory" in (
+            capsys.readouterr().err
+        )
+        assert (tmp_path / "file").read_text() == "keep me\n"
 
     def test_output_write_error_exits_3_with_path(self, tmp_path, capsys):
         cfg = self.run_config(tmp_path)
