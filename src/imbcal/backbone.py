@@ -137,23 +137,28 @@ def train(model, table, config):
     lr = config.initial_lr
     best = np.inf
     stall = 0
+    # flat position of each batch row's first logit
+    row_starts = np.arange(config.batch_size) * W.shape[0]
     for _ in range(config.epochs):
         perm = generator.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            Xb, yb = X[idx], y[idx]
-            logits = Xb @ W.T + b
-            # one exp per batch serves both the loss and the softmax gradient
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            z = e.sum(axis=1, keepdims=True)
-            rows = np.arange(len(idx))
-            epoch_loss += float(np.mean(np.log(z[:, 0]) - shifted[rows, yb])) * len(idx)
-            grad = e / z
-            grad[rows, yb] -= 1.0
-            grad /= len(idx)
-            W -= lr * grad.T @ Xb
+            m = len(idx)
+            Xb = X.take(idx, axis=0)
+            at = row_starts[:m] + y.take(idx)
+            # one exp per batch serves both the loss and the softmax gradient;
+            # the logits are shifted and the exps turned into the gradient in place
+            shifted = Xb @ W.T
+            shifted += b
+            shifted -= shifted.max(axis=1, keepdims=True)
+            grad = np.exp(shifted)
+            z = grad.sum(axis=1, keepdims=True)
+            epoch_loss += float((np.log(z[:, 0]) - shifted.take(at)).sum() / m) * m
+            grad /= z
+            grad.ravel()[at] -= 1.0
+            grad /= m
+            W -= (lr * grad.T) @ Xb
             b -= lr * grad.sum(axis=0)
         epoch_loss /= n
         if best - epoch_loss >= PLATEAU_TOL:

@@ -65,21 +65,28 @@ def _build_parser():
 
 
 def _read_scores(path):
-    with open(path, encoding="utf-8") as fh:
+    with dataset.open_text(path) as fh:
         header = dataset.read_header(fh, path)
         if not header or header[0] != "label":
             raise FormatError(f"{path}: first column must be 'label'")
         n_cols = len(header) - 1
         if n_cols < 1:
             raise FormatError(f"{path}: no score columns")
+        # raised after the non-finite check, which takes precedence
+        out_of_range = []
 
         def parse_label(lineno, fields, n_fields):
             if n_fields != n_cols + 1:
                 raise FormatError(f"{path}: line {lineno}: expected {n_cols + 1} fields")
             try:
-                return int(fields[0])
+                label = int(fields[0])
             except ValueError:
                 raise FormatError(f"{path}: line {lineno}: non-numeric value") from None
+            if not 0 <= label < n_cols and not out_of_range:
+                out_of_range.append(
+                    FormatError(f"{path}: line {lineno}: label {label} out of [0, {n_cols})")
+                )
+            return label
 
         labels, scores = dataset.read_rows(fh, path, 1, n_cols, parse_label, "non-numeric value")
     if not labels:
@@ -87,18 +94,14 @@ def _read_scores(path):
     bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
     if len(bad):
         raise FormatError(f"{path}: line {bad[0] + 2}: non-finite score")
-    labels = np.array(labels, dtype=np.int64)
-    bad = np.flatnonzero((labels < 0) | (labels >= n_cols))
-    if len(bad):
-        raise FormatError(
-            f"{path}: line {bad[0] + 2}: label {labels[bad[0]]} out of [0, {n_cols})"
-        )
-    return scores, labels
+    if out_of_range:
+        raise out_of_range[0]
+    return scores, np.array(labels, dtype=np.int64)
 
 
 def _read_counts(path, num_classes):
     counts = np.zeros(num_classes)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with dataset.open_text(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
@@ -127,7 +130,7 @@ def _parse_ids(text, num_classes, option):
 
 def _cmd_run(args):
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with dataset.open_text(args.config) as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"{args.config}: invalid JSON ({exc})") from exc

@@ -7,6 +7,7 @@ are deterministic given their seeds.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -258,9 +259,11 @@ def plan_states(table, num_states, seed_or_fixed_order):
     states.
     """
     classes = table.classes()
-    if num_states < 1 or num_states > len(classes):
+    if num_states < 1:
+        raise ParameterError(f"num_states must be >= 1, got {num_states}")
+    if num_states > len(classes):
         raise ParameterError(
-            f"num_states must be in [1, {len(classes)}], got {num_states}"
+            f"num_states is {num_states}, more than the {len(classes)} classes available"
         )
     if isinstance(seed_or_fixed_order, (int, np.integer)) and not isinstance(
         seed_or_fixed_order, bool
@@ -308,6 +311,31 @@ def census_stats(table):
 CSV_CHUNK_ROWS = 1024
 
 
+@contextlib.contextmanager
+def open_text(path, newline=None):
+    """Open a UTF-8 text file for reading.
+
+    Bytes that do not decode, met while the file is read inside the
+    ``with`` block, raise FormatError naming the line of the first of them.
+    """
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise _decode_error(path) from None
+
+
+def _decode_error(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return FormatError(f"{path}: line {line}: not valid UTF-8")
+    return FormatError(f"{path}: not valid UTF-8")
+
+
 def read_header(fh, path):
     """The fields of an open CSV's first line; a blank line has none."""
     line = fh.readline()
@@ -348,7 +376,9 @@ def read_rows(fh, path, lead, width, parse_lead, non_numeric):
     rounds them as ``float()`` does but rejects ``_`` separators and
     non-ASCII digits. A line whose floats do not parse raises
     ``"{path}: line N: {non_numeric}"``. Errors come in line order, so the
-    first faulty line is the one reported.
+    first faulty line is the one reported. The one exception is a byte that
+    is not UTF-8: it raises as soon as the file's decoder reads it, which may
+    be before the lines just ahead of it are checked (see ``open_text``).
 
     Returns the list of ``parse_lead`` results and the (n, width) matrix.
     """
@@ -377,7 +407,7 @@ def read_rows(fh, path, lead, width, parse_lead, non_numeric):
 def load_features(features_path, manifest_path):
     """Read a feature CSV plus its JSON manifest into a DatasetTable."""
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
+        with open_text(manifest_path) as fh:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
@@ -410,7 +440,7 @@ def load_features(features_path, manifest_path):
             )
         return label, fields[1]
 
-    with open(features_path, encoding="utf-8") as fh:
+    with open_text(features_path) as fh:
         header = read_header(fh, features_path)
         expected = ["label", "split"] + [f"f{i}" for i in range(dim)]
         if header != expected:

@@ -56,6 +56,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.synthetic is None) == (self.features_path is None):
             raise ParameterError("configure exactly one of synthetic or feature files")
+        if not self.methods:
+            raise ParameterError("methods must name at least one calibrator tag")
         unknown = set(self.methods) - set(ALL_METHODS)
         if unknown:
             raise ParameterError(f"unknown calibrator tags: {sorted(unknown)}")
@@ -63,11 +65,22 @@ class ExperimentConfig:
             raise ParameterError("memory must be >= 0 and num_states >= 2")
 
 
-def _typed(obj, key, kind, default, described):
-    """``obj[key]`` (or ``default`` when absent) if it is a ``kind``."""
+_REQUIRED = object()
+
+
+def _typed(obj, key, kind, default, described, section=""):
+    """``obj[key]`` (or ``default`` when absent) if it is a ``kind`` other than bool."""
     value = obj.get(key, default)
-    if value is not default and not isinstance(value, kind):
-        raise ParameterError(f"{key} must be {described}, got {value!r}")
+    if value is not default and (not isinstance(value, kind) or isinstance(value, bool)):
+        raise ParameterError(f"{section}{key} must be {described}, got {value!r}")
+    return value
+
+
+def _integer(obj, key, default=_REQUIRED, section=""):
+    """``obj[key]`` as a JSON integer; ``3.0`` and ``true`` are refused."""
+    value = _typed(obj, key, int, default, "a JSON integer", section)
+    if value is _REQUIRED:
+        raise KeyError(key)
     return value
 
 
@@ -80,12 +93,12 @@ def config_from_dict(obj):
         if "synthetic" in data:
             s = data["synthetic"]
             synthetic = SyntheticSpec(
-                classes=int(s["classes"]),
-                dim=int(s["dim"]),
-                per_class=int(s["per_class"]),
+                classes=_integer(s, "classes", section="synthetic."),
+                dim=_integer(s, "dim", section="synthetic."),
+                per_class=_integer(s, "per_class", section="synthetic."),
                 separation=float(s.get("separation", 5.0)),
                 noise=float(s.get("noise", 1.0)),
-                test_per_class=(int(s["test_per_class"]) if "test_per_class" in s else None),
+                test_per_class=_integer(s, "test_per_class", None, "synthetic."),
             )
         elif "features" in data:
             features_path = data["features"]["features_path"]
@@ -97,26 +110,26 @@ def config_from_dict(obj):
         methods = _typed(obj, "methods", list, list(ALL_METHODS), "a JSON list of tags")
         class_order = _typed(obj, "class_order", list, None, "a JSON list of class ids")
         return ExperimentConfig(
-            num_states=int(obj["num_states"]),
-            memory=int(obj["memory"]),
+            num_states=_integer(obj, "num_states"),
+            memory=_integer(obj, "memory"),
             synthetic=synthetic,
             features_path=features_path,
             manifest_path=manifest_path,
             imbalance_kind=obj.get("imbalance", "none"),
             train=backbone.TrainConfig(
-                epochs=int(t.get("epochs", 25)),
+                epochs=_integer(t, "epochs", 25, "train."),
                 initial_lr=float(t.get("lr", 0.1)),
-                plateau_patience=int(t.get("patience", 5)),
+                plateau_patience=_integer(t, "patience", 5, "train."),
                 lr_decay=float(t.get("decay", 0.1)),
-                batch_size=int(t.get("batch_size", 32)),
+                batch_size=_integer(t, "batch_size", 32, "train."),
             ),
             methods=tuple(methods),
             val_fraction=float(obj.get("val_fraction", 0.1)),
-            data_seed=int(seeds.get("data", 0)),
-            model_seed=int(seeds.get("model", 0)),
-            protocol_seed=int(seeds.get("protocol", 0)),
+            data_seed=_integer(seeds, "data", 0, "seeds."),
+            model_seed=_integer(seeds, "model", 0, "seeds."),
+            protocol_seed=_integer(seeds, "protocol", 0, "seeds."),
             class_order=tuple(class_order) if class_order else None,
-            ece_bins=int(obj.get("ece_bins", metrics.ECE_BINS_DEFAULT)),
+            ece_bins=_integer(obj, "ece_bins", metrics.ECE_BINS_DEFAULT),
             output_dir=obj.get("output_dir"),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -146,14 +159,22 @@ def run_experiment(cfg):
         table, cfg.num_states,
         cfg.class_order if cfg.class_order is not None else cfg.protocol_seed,
     )
+    seen_by_state = np.cumsum(plan.classes_per_state)
     # nem and bal need an exemplar of every class seen, so B >= classes
     needs_exemplars = [m for m in cfg.methods if m in calibration.FEATURE_METHODS]
-    seen_by_state = np.cumsum(plan.classes_per_state)
     if needs_exemplars and cfg.memory < seen_by_state[-1]:
         k = int(np.argmax(seen_by_state > cfg.memory))
         raise ConfigurationError(
             f"state {k + 1}, method {needs_exemplars[0]}: memory {cfg.memory} is "
             f"smaller than the {seen_by_state[k]} classes seen"
+        )
+    # each state trains on an exemplar of every old class, so B >= classes
+    # seen before the last state
+    if cfg.memory < seen_by_state[-2]:
+        k = int(np.argmax(seen_by_state > cfg.memory))
+        raise ConfigurationError(
+            f"state {k + 2}: memory {cfg.memory} is smaller than the "
+            f"{seen_by_state[k]} classes seen before it"
         )
     # remap labels to introduction order: class id == model row
     mapping = {orig: i for i, orig in enumerate(plan.ordering)}

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbcal import dataset, rng
+from imbcal import dataset, memory, rng
 from imbcal.backbone import PLATEAU_TOL, LinearModel, TrainConfig, extend_model, softmax, train
 from imbcal.breaks import _check, _result, fisher_jenks
 from imbcal.calibration import (
@@ -39,7 +39,7 @@ from imbcal.calibration import (
 from imbcal.cli import _read_scores, main
 from imbcal.dataset import SPLITS, TRAIN, DatasetTable, load_features
 from imbcal.errors import FormatError
-from imbcal.memory import herd_order
+from imbcal.memory import HERD_SCREEN_MIN, _screen, herd_order
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -514,6 +514,69 @@ def test_herd_order_keeps_the_sqrt_that_ties_rounded_distances():
     assert squared[1] < squared[0] and np.sqrt(squared[1]) == np.sqrt(squared[0])
     assert herd_order(feats, 1).tolist() == [0]
     assert _same(herd_order(feats, 2), oracle_herd_order(feats))
+
+
+def test_screen_keeps_the_rows_the_sqrt_ties():
+    # the case above, screened
+    feats = np.array([[1.8, 0.3], [-0.1, 1.4]])
+    with mock.patch.object(memory, "HERD_SCREEN_MIN", 0):
+        assert _same(herd_order(feats, 2), oracle_herd_order(feats))
+    # were the Gram form exact (no error bound), the tie margin alone must
+    # keep row 0, whose squared distance is an ulp larger
+    squared = ((feats - feats.mean(axis=0)) ** 2).sum(axis=1)
+    assert squared[0] > squared[1]
+    assert _screen(squared, 0.0).tolist() == [0, 1]
+    # rows beyond the margin go
+    assert _screen(np.array([1.0, 1.0 + 1e-14, np.inf]), 0.0).tolist() == [0]
+
+
+# the screen: hypothesis cases with every class screened
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 6),
+    st.data(),
+    st.sampled_from(["plain", "rounded", "duplicated"]),
+    st.integers(-3, 3).map(lambda k: 10.0**k),
+    st.sampled_from([0.0, 1e6]),
+)
+def test_screened_herd_order_is_the_prefix_of_the_full_order(
+    n, d, data, shape, scale, offset
+):
+    values = data.draw(st.lists(st.floats(-10, 10), min_size=n * d, max_size=n * d))
+    feats = np.array(values).reshape(n, d)
+    if shape == "rounded":  # tied rows and tied candidate distances
+        feats = np.round(feats / 4)
+    elif shape == "duplicated":
+        feats = feats[data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+    # a large common offset leaves the Gram form mostly cancellation
+    feats = feats * scale + offset
+    q = data.draw(st.integers(0, n + 3))
+    with mock.patch.object(memory, "HERD_SCREEN_MIN", 0):
+        got = herd_order(feats, q)
+    assert _same(got, oracle_herd_order(feats)[:q])
+
+
+@pytest.mark.parametrize("seed, offset", [(0, 0.0), (1, 0.0), (2, 3.0), (3, 1e3)])
+def test_herd_order_screens_full_size_classes(seed, offset):
+    # the shape of a benchmark class: 450 train/val rows of 64 features
+    gen = np.random.default_rng(seed)
+    feats = gen.normal(size=64) * 0.25 + gen.normal(size=(450, 64)) + offset
+    assert feats.size >= HERD_SCREEN_MIN
+    expected = oracle_herd_order(feats)
+    for q in (1, 50, 114, 450):
+        assert _same(herd_order(feats, q), expected[:q])
+
+
+def test_herd_order_never_repeats_a_row_when_distances_overflow():
+    # every squared distance is inf here; the full-order loop took row 0 again
+    # at step 2, herd_order takes each row once
+    feats = np.random.default_rng(0).normal(size=(5, 3)) * 1e200
+    with np.errstate(over="ignore"):
+        assert oracle_herd_order(feats).tolist()[:2] == [0, 0]
+        assert sorted(herd_order(feats, 5).tolist()) == [0, 1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,57 @@ class TestConfig:
         assert main(["run", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @staticmethod
+    def _no_run(monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("experiment started")
+
+        monkeypatch.setattr("imbcal.harness.run_experiment", no_run)
+
+    @pytest.mark.parametrize("keys, value, name", [
+        (("memory",), 3.7, "memory"),
+        (("memory",), True, "memory"),
+        (("num_states",), 2.0, "num_states"),
+        (("data", "synthetic", "classes"), 4.0, "synthetic.classes"),
+        (("data", "synthetic", "dim"), True, "synthetic.dim"),
+        (("data", "synthetic", "per_class"), 15.5, "synthetic.per_class"),
+        (("data", "synthetic", "test_per_class"), False, "synthetic.test_per_class"),
+        (("train", "epochs"), 5.0, "train.epochs"),
+        (("train", "batch_size"), True, "train.batch_size"),
+        (("train", "patience"), 2.5, "train.patience"),
+        (("seeds", "data"), 1.0, "seeds.data"),
+        (("seeds", "model"), False, "seeds.model"),
+        (("seeds", "protocol"), 3.5, "seeds.protocol"),
+        (("ece_bins",), 10.0, "ece_bins"),
+    ])
+    def test_integer_keys_refuse_floats_and_bools(
+        self, tmp_path, capsys, monkeypatch, keys, value, name
+    ):
+        self._no_run(monkeypatch)
+        cfg = {
+            "num_states": 2, "memory": 8, "train": {}, "seeds": {},
+            "data": {"synthetic": {"classes": 4, "dim": 3, "per_class": 15}},
+        }
+        section = cfg
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"{name} must be a JSON integer, got {value!r}" in capsys.readouterr().err
+
+    def test_empty_methods_rejected(self, tmp_path, capsys, monkeypatch):
+        self._no_run(monkeypatch)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "num_states": 2, "memory": 8, "methods": [],
+            "data": {"synthetic": {"classes": 4, "dim": 3, "per_class": 15}},
+        }))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "methods must name at least one calibrator tag" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCli:
     def run_config(self, tmp_path):
@@ -275,6 +326,61 @@ class TestCli:
         assert f"state 2, method {method}: memory 3" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def _no_training(monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("imbcal.backbone.train", no_training)
+
+    @pytest.mark.parametrize("classes, states, memory, message", [
+        (4, 2, 0, "state 2: memory 0 is smaller than the 2 classes seen before it"),
+        (4, 2, 1, "state 2: memory 1 is smaller than the 2 classes seen before it"),
+        (6, 3, 3, "state 3: memory 3 is smaller than the 4 classes seen before it"),
+    ])
+    def test_memory_below_old_class_count_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch, classes, states, memory, message
+    ):
+        self._no_training(monkeypatch)
+        cfg = json.loads(self.run_config(tmp_path).read_text())
+        cfg["data"]["synthetic"]["classes"] = classes
+        cfg.update(num_states=states, memory=memory)
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_memory_of_one_slot_per_old_class_runs(self, tmp_path):
+        cfg = json.loads(self.run_config(tmp_path).read_text())
+        cfg["memory"] = 2  # the 2 classes of state 1; state 2 adds 2 more
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_class_whose_only_exemplar_is_a_val_row_exits_2(self, tmp_path, capsys):
+        # memory passes the load-time check, but at data seed 6 the one
+        # exemplar herded for an old class is a val row
+        cfg = json.loads(self.run_config(tmp_path).read_text())
+        cfg.update(memory=2, methods=["none"])
+        cfg["seeds"]["data"] = 6
+        path = tmp_path / "val.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "state 2: a class has no train records" in capsys.readouterr().err
+
+    def test_more_states_than_classes_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        self._no_training(monkeypatch)
+        cfg = json.loads(self.run_config(tmp_path).read_text())
+        cfg["num_states"] = 5
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "num_states is 5, more than the 4 classes available" in capsys.readouterr().err
+
     def test_calibrator_fit_error_names_state_and_method(self, tmp_path, capsys, monkeypatch):
         def failing_fit(ctx):
             raise ParameterError("no usable validation scores")
@@ -297,6 +403,8 @@ class TestCli:
 
     @pytest.mark.parametrize("method, label, line", [
         ("iso", "5", 3), ("mb", "5", 3), ("pl", "-1", 2),
+        # beyond int64
+        ("iso", "99999999999999999999", 3), ("pl", "-99999999999999999999", 2),
     ])
     def test_score_label_out_of_range_exits_3_with_line(
         self, tmp_path, capsys, method, label, line
@@ -358,3 +466,70 @@ def test_summarize_rejects_single_state():
     reports = [StateReport(1, None, 1.0, {"none": MethodResult(50.0, 0.1)})]
     with pytest.raises(ParameterError):
         summarize(reports, ("none",))
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 exits 3, naming the file and its line."""
+
+    @pytest.fixture
+    def features(self, tmp_path):
+        assert main(["gen", "--classes", "4", "--dim", "3", "--per-class", "60",
+                     "--seed", "1", "--out", str(tmp_path / "feat.csv")]) == 0
+        cfg = {
+            "num_states": 2, "memory": 8, "methods": ["none"], "train": {"epochs": 2},
+            "data": {"features": {"features_path": str(tmp_path / "feat.csv"),
+                                  "manifest_path": str(tmp_path / "feat.csv.manifest.json")}},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    @staticmethod
+    def _corrupt(path, line):
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1][:-1] + b"\xff"
+        path.write_bytes(b"\n".join(lines))
+
+    @staticmethod
+    def _expect_exit_3(capsys, argv, message):
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [5, 400])
+    def test_feature_csv(self, tmp_path, capsys, features, line):
+        # the reader decodes 8 KB at a time; line 400 lies well past the first
+        assert len(b"\n".join((tmp_path / "feat.csv").read_bytes().split(b"\n")[:399])) > 16384
+        self._corrupt(tmp_path / "feat.csv", line)
+        self._expect_exit_3(capsys, ["run", "--config", str(features)],
+                            f"feat.csv: line {line}: not valid UTF-8")
+
+    def test_manifest(self, tmp_path, capsys, features):
+        manifest = tmp_path / "feat.csv.manifest.json"
+        manifest.write_bytes(manifest.read_bytes().replace(b"synthetic", b"synth\xffetic"))
+        line = manifest.read_bytes().split(b"\xff")[0].count(b"\n") + 1
+        self._expect_exit_3(capsys, ["run", "--config", str(features)],
+                            f"feat.csv.manifest.json: line {line}: not valid UTF-8")
+
+    def test_config(self, tmp_path, capsys, monkeypatch, features):
+        def no_run(cfg):
+            raise AssertionError("experiment started")
+
+        monkeypatch.setattr("imbcal.harness.run_experiment", no_run)
+        features.write_bytes(features.read_bytes().replace(b'"none"', b'"n\xffne"'))
+        self._expect_exit_3(capsys, ["run", "--config", str(features)],
+                            "cfg.json: line 1: not valid UTF-8")
+
+    def test_score_csv(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_bytes(b"label,s0,s1\n0,2.0,1.0\n1,1.0,2.\xff\n")
+        self._expect_exit_3(capsys, ["calibrate", "--method", "iso", "--scores", str(scores)],
+                            "s.csv: line 3: not valid UTF-8")
+
+    def test_counts_csv(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,s0,s1\n0,2.0,1.0\n1,1.0,2.0\n")
+        counts = tmp_path / "c.csv"
+        counts.write_bytes(b"0,5\n1,\xff\n")
+        self._expect_exit_3(capsys, ["calibrate", "--method", "th", "--scores", str(scores),
+                                     "--counts", str(counts)],
+                            "c.csv: line 2: not valid UTF-8")
