@@ -38,19 +38,6 @@ class LinearModel:
     def dim(self):
         return self.weights.shape[1]
 
-    def to_json(self):
-        return {
-            "dim": self.dim,
-            "num_classes": self.num_classes,
-            "weights": self.weights.tolist(),
-            "biases": self.biases.tolist(),
-        }
-
-    @staticmethod
-    def from_json(obj):
-        return LinearModel(np.array(obj["weights"], dtype=np.float64),
-                           np.array(obj["biases"], dtype=np.float64))
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -91,17 +78,13 @@ def extend_model(prev, new_class_count, dim, seed):
 
 
 def scores(model, features):
-    """Raw (pre-softmax) scores W f + b, one row per sample."""
+    """Raw (pre-softmax) scores W f + b of an (n, d) matrix, one row per sample."""
     features = np.asarray(features, dtype=np.float64)
-    single = features.ndim == 1
-    if single:
-        features = features[None, :]
-    if features.shape[1] != model.dim:
+    if features.ndim != 2 or features.shape[1] != model.dim:
         raise ParameterError(
-            f"feature dim {features.shape[1]} does not match model dim {model.dim}"
+            f"features of shape {features.shape} do not match model dim {model.dim}"
         )
-    out = features @ model.weights.T + model.biases
-    return out[0] if single else out
+    return features @ model.weights.T + model.biases
 
 
 def softmax(score_matrix):

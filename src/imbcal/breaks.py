@@ -30,14 +30,6 @@ class BreaksResult:
     boundaries: tuple  # sorted-order start positions of clusters 2..L
     ssd: float
 
-    def clusters(self, values):
-        """Cluster contents in ascending-value order."""
-        values = np.asarray(values, dtype=np.float64)
-        out = []
-        for c in range(len(self.boundaries) + 1):
-            out.append(np.sort(values[self.assignments == c]))
-        return out
-
 
 def _check(values, L, limit=None):
     values = np.asarray(values, dtype=np.float64)

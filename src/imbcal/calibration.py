@@ -66,10 +66,6 @@ class CalibContext:
     def num_classes(self):
         return len(self.class_counts)
 
-    @property
-    def total_count(self):
-        return int(np.sum(self.class_counts))
-
 
 @dataclass
 class CalibratorState:

@@ -46,7 +46,6 @@ class StatePlan:
     """Class ordering chunked into incremental states."""
 
     ordering: tuple
-    num_states: int
     classes_per_state: tuple
 
 
@@ -148,15 +147,6 @@ def _centers(generator, num_classes, dim, class_separation):
     if dmin > 0:
         centers *= class_separation / dmin
     return centers
-
-
-def class_centers(num_classes, dim, class_separation, seed):
-    """The blob centers generate_synthetic would use, for oracle checks.
-
-    Centers are rescaled so the minimum pairwise distance equals
-    ``class_separation`` exactly.
-    """
-    return _centers(rng.op_rng(seed, rng.SYNTHETIC), num_classes, dim, class_separation)
 
 
 def generate_synthetic(
@@ -277,7 +267,7 @@ def plan_states(table, num_states, seed_or_fixed_order):
 
     base, rem = divmod(len(classes), num_states)
     sizes = [base + 1] * rem + [base] * (num_states - rem)
-    return StatePlan(tuple(ordering), num_states, tuple(sizes))
+    return StatePlan(tuple(ordering), tuple(sizes))
 
 
 def split_train_val(table, fraction, seed):
@@ -296,15 +286,6 @@ def split_train_val(table, fraction, seed):
         chosen = generator.choice(idx, size=k, replace=False)
         splits[chosen] = VAL
     return DatasetTable(table.features, table.labels, splits)
-
-
-def census_stats(table):
-    """Mean and population standard deviation of per-class train counts."""
-    census = table.census
-    if not census:
-        raise ParameterError("table has no train records")
-    counts = np.array(sorted(census.values()), dtype=np.float64)
-    return float(counts.mean()), float(counts.std())
 
 
 # data lines per np.loadtxt call in read_rows; bounds the text held at once

@@ -69,8 +69,13 @@ _REQUIRED = object()
 
 
 def _typed(obj, key, kind, default, described, section=""):
-    """``obj[key]`` (or ``default`` when absent) if it is a ``kind`` other than bool."""
+    """``obj[key]`` (or ``default`` when absent) if it is a ``kind`` other than bool.
+
+    A ``default`` of _REQUIRED makes the key required.
+    """
     value = obj.get(key, default)
+    if value is _REQUIRED:
+        raise KeyError(key)
     if value is not default and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ParameterError(f"{section}{key} must be {described}, got {value!r}")
     return value
@@ -78,10 +83,17 @@ def _typed(obj, key, kind, default, described, section=""):
 
 def _integer(obj, key, default=_REQUIRED, section=""):
     """``obj[key]`` as a JSON integer; ``3.0`` and ``true`` are refused."""
-    value = _typed(obj, key, int, default, "a JSON integer", section)
-    if value is _REQUIRED:
-        raise KeyError(key)
-    return value
+    return _typed(obj, key, int, default, "a JSON integer", section)
+
+
+def _number(obj, key, default, section=""):
+    """``obj[key]`` as a float from a JSON number; ``true`` and ``"7"`` are refused."""
+    return float(_typed(obj, key, (int, float), default, "a JSON number", section))
+
+
+def _string(obj, key, default=_REQUIRED, section=""):
+    """``obj[key]`` as a JSON string; a null ``default`` also passes a null value."""
+    return _typed(obj, key, str, default, "a JSON string", section)
 
 
 def config_from_dict(obj):
@@ -96,13 +108,14 @@ def config_from_dict(obj):
                 classes=_integer(s, "classes", section="synthetic."),
                 dim=_integer(s, "dim", section="synthetic."),
                 per_class=_integer(s, "per_class", section="synthetic."),
-                separation=float(s.get("separation", 5.0)),
-                noise=float(s.get("noise", 1.0)),
+                separation=_number(s, "separation", 5.0, "synthetic."),
+                noise=_number(s, "noise", 1.0, "synthetic."),
                 test_per_class=_integer(s, "test_per_class", None, "synthetic."),
             )
         elif "features" in data:
-            features_path = data["features"]["features_path"]
-            manifest_path = data["features"]["manifest_path"]
+            f = data["features"]
+            features_path = _string(f, "features_path", section="features.")
+            manifest_path = _string(f, "manifest_path", section="features.")
         else:
             raise ParameterError("data must configure 'synthetic' or 'features'")
         t = _typed(obj, "train", dict, {}, "a JSON object")
@@ -115,24 +128,24 @@ def config_from_dict(obj):
             synthetic=synthetic,
             features_path=features_path,
             manifest_path=manifest_path,
-            imbalance_kind=obj.get("imbalance", "none"),
+            imbalance_kind=_string(obj, "imbalance", "none"),
             train=backbone.TrainConfig(
                 epochs=_integer(t, "epochs", 25, "train."),
-                initial_lr=float(t.get("lr", 0.1)),
+                initial_lr=_number(t, "lr", 0.1, "train."),
                 plateau_patience=_integer(t, "patience", 5, "train."),
-                lr_decay=float(t.get("decay", 0.1)),
+                lr_decay=_number(t, "decay", 0.1, "train."),
                 batch_size=_integer(t, "batch_size", 32, "train."),
             ),
             methods=tuple(methods),
-            val_fraction=float(obj.get("val_fraction", 0.1)),
+            val_fraction=_number(obj, "val_fraction", 0.1),
             data_seed=_integer(seeds, "data", 0, "seeds."),
             model_seed=_integer(seeds, "model", 0, "seeds."),
             protocol_seed=_integer(seeds, "protocol", 0, "seeds."),
             class_order=tuple(class_order) if class_order else None,
             ece_bins=_integer(obj, "ece_bins", metrics.ECE_BINS_DEFAULT),
-            output_dir=obj.get("output_dir"),
+            output_dir=_string(obj, "output_dir", None),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ParameterError):
             raise
         raise ParameterError(f"bad experiment config: {exc}") from exc
@@ -167,6 +180,12 @@ def run_experiment(cfg):
         raise ConfigurationError(
             f"state {k + 1}, method {needs_exemplars[0]}: memory {cfg.memory} is "
             f"smaller than the {seen_by_state[k]} classes seen"
+        )
+    # one-vs-all Platt scaling needs a negative class at every state
+    if "pl" in cfg.methods and plan.classes_per_state[0] == 1:
+        raise ConfigurationError(
+            "state 1, method pl: the state holds a single class, so one-vs-all "
+            "Platt scaling has no negative sample"
         )
     # each state trains on an exemplar of every old class, so B >= classes
     # seen before the last state

@@ -43,9 +43,6 @@ class MemoryBuffer:
             raise ParameterError("capacity must be >= 0")
         return MemoryBuffer(capacity, 0, None, {})
 
-    def total_stored(self):
-        return sum(len(s) for s in self.classes.values())
-
 
 # classes with at least this many feature values (rows x dims) screen
 # herding candidates in Gram form; smaller ones evaluate every row not taken

@@ -206,7 +206,7 @@ def test_8_memory_respects_capacity_prefix_and_first_pick():
     buf = admit_and_rebalance(MemoryBuffer.empty(B), table_of([0, 1]), 2)
     stored = {c: buf.classes[c].features.copy() for c in buf.classes}
     buf = admit_and_rebalance(buf, table_of([2, 3]), 4)
-    assert buf.total_stored() <= B
+    assert sum(len(s) for s in buf.classes.values()) <= B
     for c in (0, 1):
         kept = buf.classes[c].features
         assert np.array_equal(kept, stored[c][: len(kept)])

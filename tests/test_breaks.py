@@ -10,7 +10,7 @@ class TestFisherJenks:
         r = fisher_jenks([1, 2, 10, 11], 2)
         assert r.boundaries == (2,)
         assert r.ssd == pytest.approx(1.0)
-        assert [c.tolist() for c in r.clusters([1, 2, 10, 11])] == [[1, 2], [10, 11]]
+        assert r.assignments.tolist() == [0, 0, 1, 1]
 
     def test_singleton_clusters(self):
         r = fisher_jenks([5, 1, 9], 3)

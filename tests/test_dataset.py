@@ -8,8 +8,6 @@ from imbcal.dataset import (
     DatasetTable,
     ImbalanceProfile,
     apply_imbalance,
-    census_stats,
-    class_centers,
     generate_synthetic,
     largest_remainder,
     load_features,
@@ -23,7 +21,8 @@ from imbcal.errors import FormatError, ParameterError
 class TestGenerateSynthetic:
     def test_nearest_center_classifies_train_perfectly(self):
         t = generate_synthetic(2, 2, 10, class_separation=10.0, noise_scale=0.1, seed=1)
-        centers = class_centers(2, 2, 10.0, seed=1)
+        # without noise the train rows are the blob centers, two per class
+        centers = generate_synthetic(2, 2, 2, 10.0, 0.0, seed=1).only(split="train").features[::2]
         train = t.only(split="train")
         dists = np.linalg.norm(train.features[:, None, :] - centers[None], axis=2)
         assert np.array_equal(dists.argmin(axis=1), train.labels)
@@ -47,7 +46,7 @@ class TestGenerateSynthetic:
         assert counts.tolist() == [5, 5, 5]
 
     def test_min_pairwise_center_distance_equals_separation(self):
-        centers = class_centers(6, 4, 3.0, seed=5)
+        centers = generate_synthetic(6, 4, 2, 3.0, 0.0, seed=5).only(split="train").features[::2]
         d = np.linalg.norm(centers[:, None] - centers[None], axis=2)
         assert d[np.triu_indices(6, k=1)].min() == pytest.approx(3.0)
 
@@ -183,19 +182,6 @@ class TestSplitTrainVal:
         t = generate_synthetic(2, 2, 5, 5.0, 1.0, seed=0)
         with pytest.raises(ParameterError):
             split_train_val(t, 1.5, seed=0)
-
-
-class TestCensusStats:
-    def test_equal_counts(self):
-        t = generate_synthetic(5, 2, 7, 5.0, 1.0, seed=0)
-        assert census_stats(t) == (7.0, 0.0)
-
-    def test_two_point(self):
-        feats = np.zeros((40, 2))
-        labels = [0] * 10 + [1] * 30
-        t = DatasetTable(feats, labels, ["train"] * 40)
-        mu, sigma = census_stats(t)
-        assert mu == 20.0 and sigma == 10.0
 
 
 class TestFeatureFiles:

@@ -210,6 +210,88 @@ class TestConfig:
         assert main(["run", "--config", str(path)]) == 2
         assert f"{name} must be a JSON integer, got {value!r}" in capsys.readouterr().err
 
+    @staticmethod
+    def _with(cfg, keys, value):
+        section = cfg
+        for key in keys[:-1]:
+            section = section.setdefault(key, {})
+        section[keys[-1]] = value
+        return cfg
+
+    @pytest.mark.parametrize("keys, name", [
+        (("train", "lr"), "train.lr"),
+        (("train", "decay"), "train.decay"),
+        (("val_fraction",), "val_fraction"),
+        (("data", "synthetic", "separation"), "synthetic.separation"),
+        (("data", "synthetic", "noise"), "synthetic.noise"),
+    ])
+    @pytest.mark.parametrize("value", [True, "7"])
+    def test_float_keys_refuse_bools_and_strings(
+        self, tmp_path, capsys, monkeypatch, keys, name, value
+    ):
+        self._no_run(monkeypatch)
+        base = {
+            "num_states": 2, "memory": 8,
+            "data": {"synthetic": {"classes": 4, "dim": 3, "per_class": 15}},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self._with(base, keys, value)))
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"{name} must be a JSON number, got {value!r}" in capsys.readouterr().err
+
+    def test_float_keys_read_integers_as_floats_and_refuse_bools(self):
+        base = {
+            "num_states": 2, "memory": 8, "train": {"lr": 1},
+            "data": {"synthetic": {"classes": 4, "dim": 3, "per_class": 15,
+                                   "separation": 7, "noise": 0}},
+        }
+        cfg = config_from_dict(base)
+        read = (cfg.train.initial_lr, cfg.synthetic.separation, cfg.synthetic.noise)
+        assert read == (1.0, 7.0, 0.0) and all(type(v) is float for v in read)
+        with pytest.raises(ParameterError, match="train.lr must be a JSON number, got True"):
+            config_from_dict(self._with(base, ("train", "lr"), True))
+
+    def test_integer_too_large_for_a_float_key_exits_2(self, tmp_path, capsys, monkeypatch):
+        self._no_run(monkeypatch)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "num_states": 2, "memory": 8, "train": {"lr": 10**400},
+            "data": {"synthetic": {"classes": 4, "dim": 3, "per_class": 15}},
+        }))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "too large to convert to float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys, name", [
+        (("data", "features", "features_path"), "features.features_path"),
+        (("data", "features", "manifest_path"), "features.manifest_path"),
+        (("imbalance",), "imbalance"),
+        (("output_dir",), "output_dir"),
+    ])
+    @pytest.mark.parametrize("value", [5, ["a"], True])
+    def test_string_keys_refuse_other_types(
+        self, tmp_path, capsys, monkeypatch, keys, name, value
+    ):
+        self._no_run(monkeypatch)
+        cfg = {
+            "num_states": 2, "memory": 8,
+            "data": {"features": {"features_path": "f.csv", "manifest_path": "f.json"}},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self._with(cfg, keys, value)))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{name} must be a JSON string, got {value!r}" in err
+        assert "Traceback" not in err
+
+    def test_null_output_dir_means_absent_but_a_number_is_refused(self):
+        cfg = {
+            "num_states": 2, "memory": 8,
+            "data": {"synthetic": {"classes": 4, "dim": 3, "per_class": 15}},
+        }
+        assert config_from_dict({**cfg, "output_dir": None}).output_dir is None
+        with pytest.raises(ParameterError, match="output_dir must be a JSON string"):
+            config_from_dict({**cfg, "output_dir": 5})
+
     def test_empty_methods_rejected(self, tmp_path, capsys, monkeypatch):
         self._no_run(monkeypatch)
         path = tmp_path / "cfg.json"
@@ -350,6 +432,19 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pl_with_a_one_class_first_state_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        self._no_training(monkeypatch)
+        cfg = json.loads(self.run_config(tmp_path).read_text())
+        cfg.update(num_states=4, memory=8, methods=["none", "pl"])
+        path = tmp_path / "one_class.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "error: state 1, method pl: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_memory_of_one_slot_per_old_class_runs(self, tmp_path):

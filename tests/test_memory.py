@@ -79,7 +79,7 @@ class TestAdmitAndRebalance:
         buf = MemoryBuffer.empty(10)
         buf = admit_and_rebalance(buf, table_for({0: 8, 1: 8, 2: 8}), 3)
         assert {c: len(s) for c, s in buf.classes.items()} == {0: 4, 1: 3, 2: 3}
-        assert buf.total_stored() <= 10
+        assert sum(len(s) for s in buf.classes.values()) <= 10
 
     def test_short_class_stores_what_it_has(self):
         buf = MemoryBuffer.empty(12)
@@ -94,7 +94,7 @@ class TestAdmitAndRebalance:
         for c in (0, 1):
             kept = buf2.classes[c].features
             assert np.array_equal(kept, stored_before[c][: len(kept)])
-        assert buf2.total_stored() <= 8
+        assert sum(len(s) for s in buf2.classes.values()) <= 8
 
     def test_readmission_idempotent_quota(self):
         buf = MemoryBuffer.empty(9)
@@ -117,7 +117,7 @@ class TestAdmitAndRebalance:
     def test_test_records_ignored(self):
         t = generate_synthetic(2, 3, 5, 5.0, 1.0, seed=0, test_per_class=4)
         buf = admit_and_rebalance(MemoryBuffer.empty(20), t, 2)
-        assert buf.total_stored() == 10
+        assert sum(len(s) for s in buf.classes.values()) == 10
 
     def test_state_index_increments(self):
         buf = MemoryBuffer.empty(6)
