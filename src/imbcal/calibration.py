@@ -58,8 +58,7 @@ class CalibContext:
     class_counts: np.ndarray  # (N,)
     old_classes: tuple
     new_classes: tuple
-    exemplar_features: dict | None = None  # class id -> (m_i, d) features
-    exemplar_splits: dict | None = None  # class id -> (m_i,) split flags
+    exemplars: DatasetTable | None = None  # the memory, class by class in herded order
     memory_capacity: int | None = None
 
     @property
@@ -335,16 +334,15 @@ def apply_threshold(state, probs):
 
 def fit_nem(ctx):
     """Per-class exemplar means, computed after exemplar selection."""
-    if not ctx.exemplar_features:
-        raise ConfigurationError("nem needs exemplar features for every class")
+    if ctx.exemplars is None:
+        raise ConfigurationError("nem needs the exemplar memory")
     rows = []
     for c in range(ctx.num_classes):
-        feats = ctx.exemplar_features.get(c)
-        if feats is None or len(feats) == 0:
+        feats = ctx.exemplars.features[ctx.exemplars.labels == c]
+        if len(feats) == 0:
             raise ConfigurationError(f"class {c} has no exemplars in memory")
-        rows.append(np.asarray(feats, dtype=np.float64).mean(axis=0))
-    means = np.vstack(rows)
-    return CalibratorState("nem", {"means": means})
+        rows.append(feats.mean(axis=0))
+    return CalibratorState("nem", {"means": np.vstack(rows)})
 
 
 def apply_nem(state, features):
@@ -367,31 +365,20 @@ def apply_nem(state, features):
 def fit_balanced(ctx, model, config):
     """Retrain a copy of the classification layer on a balanced exemplar table.
 
-    Each class contributes floor(B / N) exemplars, or everything it has
-    when fewer are available.
+    Each class contributes its first floor(B / N) exemplars, or everything
+    it has when fewer are stored.
     """
-    if not ctx.exemplar_features or ctx.memory_capacity is None:
-        raise ConfigurationError("bal needs exemplar features and the memory capacity")
+    if ctx.exemplars is None or ctx.memory_capacity is None:
+        raise ConfigurationError("bal needs the exemplar memory and its capacity")
     quota = ctx.memory_capacity // ctx.num_classes
-    feats, labels, splits = [], [], []
-    used = {}
+    rows, used = [], {}
     for c in range(ctx.num_classes):
-        stored = ctx.exemplar_features.get(c)
-        if stored is None or len(stored) == 0:
+        stored = np.flatnonzero(ctx.exemplars.labels == c)
+        if len(stored) == 0:
             raise ConfigurationError(f"class {c} has no exemplars in memory")
-        take = min(quota, len(stored))
-        used[c] = take
-        if take == 0:
-            continue
-        feats.append(np.asarray(stored[:take], dtype=np.float64))
-        labels.append(np.full(take, c, dtype=np.int64))
-        if ctx.exemplar_splits is not None and c in ctx.exemplar_splits:
-            splits.append(np.asarray(ctx.exemplar_splits[c][:take], dtype="<U5"))
-        else:
-            splits.append(np.full(take, TRAIN, dtype="<U5"))
-    if not feats:
-        raise ParameterError("balanced table is empty (memory smaller than class count)")
-    table = DatasetTable(np.concatenate(feats), np.concatenate(labels), np.concatenate(splits))
+        rows.append(stored[:quota])
+        used[c] = len(rows[-1])
+    table = ctx.exemplars.subset(np.concatenate(rows))
     if len(table.only(split=TRAIN)) == 0:
         raise ParameterError("balanced table has no train-split records")
     retrained = backbone.train(model, table, config)

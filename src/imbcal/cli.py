@@ -122,7 +122,10 @@ def _read_counts(path, num_classes):
 def _parse_ids(text, num_classes, option):
     if text is None:
         raise ParameterError(f"--{option} is required for this method")
-    ids = tuple(int(v) for v in text.split(",")) if text else ()
+    try:
+        ids = tuple(int(v) for v in text.split(",")) if text else ()
+    except ValueError:
+        raise ParameterError(f"--{option}: class ids must be comma-separated integers") from None
     if any(not 0 <= c < num_classes for c in ids):
         raise ParameterError(f"--{option}: class id out of range")
     return ids

@@ -95,9 +95,9 @@ class DatasetTable:
     def classes(self):
         return [int(c) for c in np.unique(self.labels)]
 
-    def subset(self, mask):
-        mask = np.asarray(mask, dtype=bool)
-        return DatasetTable(self.features[mask], self.labels[mask], self.splits[mask])
+    def subset(self, rows):
+        """The rows picked by a boolean mask or an array of row ids, in order."""
+        return DatasetTable(self.features[rows], self.labels[rows], self.splits[rows])
 
     def only(self, split=None, classes=None):
         """Restrict to the given split name(s) and/or class ids."""
@@ -115,23 +115,7 @@ class DatasetTable:
         return DatasetTable(self.features, new_labels, self.splits)
 
     @staticmethod
-    def empty(dim):
-        return DatasetTable(
-            np.empty((0, dim)), np.empty(0, dtype=np.int64), np.empty(0, dtype="<U5")
-        )
-
-    @staticmethod
     def concat(tables):
-        tables = list(tables)
-        if not tables:
-            raise ParameterError("concat needs at least one table")
-        dims = {t.dim for t in tables if len(t)}
-        if len(dims) > 1:
-            raise ParameterError(f"mixed feature dimensions: {sorted(dims)}")
-        if dims:
-            # zero-row tables may carry a placeholder dimension
-            dim = dims.pop()
-            tables = [t if len(t) else DatasetTable.empty(dim) for t in tables]
         return DatasetTable(
             np.concatenate([t.features for t in tables]),
             np.concatenate([t.labels for t in tables]),
@@ -392,11 +376,17 @@ def load_features(features_path, manifest_path):
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path}: manifest must be a JSON object")
     for key in ("dim", "classes", "name"):
         if key not in manifest:
             raise FormatError(f"{manifest_path}: missing manifest key {key!r}")
-    dim = int(manifest["dim"])
-    num_classes = int(manifest["classes"])
+        if key != "name" and type(manifest[key]) is not int:
+            raise FormatError(
+                f"{manifest_path}: manifest key {key!r} must be a JSON integer, "
+                f"got {manifest[key]!r}"
+            )
+    dim, num_classes = manifest["dim"], manifest["classes"]
     if dim < 1 or num_classes < 1:
         raise FormatError(f"{manifest_path}: dim and classes must be positive")
 

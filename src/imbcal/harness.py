@@ -87,8 +87,11 @@ def _integer(obj, key, default=_REQUIRED, section=""):
 
 
 def _number(obj, key, default, section=""):
-    """``obj[key]`` as a float from a JSON number; ``true`` and ``"7"`` are refused."""
-    return float(_typed(obj, key, (int, float), default, "a JSON number", section))
+    """``obj[key]`` as a finite float from a JSON number; ``true``, ``"7"`` and NaN are refused."""
+    value = float(_typed(obj, key, (int, float), default, "a JSON number", section))
+    if not np.isfinite(value):
+        raise ParameterError(f"{section}{key} must be finite, got {value!r}")
+    return value
 
 
 def _string(obj, key, default=_REQUIRED, section=""):
@@ -210,10 +213,10 @@ def run_experiment(cfg):
             model, batch_size, table.dim, derive_seed(cfg.model_seed, 1, k)
         )
         new_part = table.only(split=(dataset.TRAIN, dataset.VAL), classes=new_ids)
-        current = dataset.DatasetTable.concat([new_part, memory.memory_dataset(buffer)])
+        current = dataset.DatasetTable.concat([new_part, memory.memory_dataset(buffer, table)])
         train_config = replace(cfg.train, seed=derive_seed(cfg.model_seed, 1000, k))
         model = backbone.train(model, current, train_config)
-        buffer = memory.admit_and_rebalance(buffer, new_part, seen)
+        buffer = memory.admit_and_rebalance(buffer, table, new_ids)
 
         train_part = current.only(split=dataset.TRAIN)
         val_part = current.only(split=dataset.VAL)
@@ -228,8 +231,7 @@ def run_experiment(cfg):
             class_counts=counts,
             old_classes=tuple(range(seen - batch_size)),
             new_classes=tuple(range(seen - batch_size, seen)),
-            exemplar_features={c: s.features for c, s in buffer.classes.items()},
-            exemplar_splits={c: s.splits for c, s in buffer.classes.items()},
+            exemplars=memory.memory_dataset(buffer, table),
             memory_capacity=cfg.memory,
         )
 

@@ -1,8 +1,9 @@
 """Bounded exemplar memory with herding selection.
 
-The buffer is a value: admission returns a new buffer. Per class it keeps
-a prefix of that class's herded ordering, so shrinking a quota later only
-truncates, never reorders. Split flags ride along untouched.
+The buffer is a value: admission returns a new buffer. It stores row ids
+into the run's table, never copies of the rows: per class, a prefix of
+that class's herded ordering, so shrinking a quota later only truncates,
+never reorders.
 """
 
 from __future__ import annotations
@@ -11,37 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import TEST, DatasetTable
+from .dataset import TEST
 from .errors import ParameterError
-
-
-@dataclass(frozen=True)
-class ExemplarSet:
-    """Stored exemplars of one class, in herded order."""
-
-    features: np.ndarray  # (m, d)
-    splits: np.ndarray  # (m,)
-    source_indices: np.ndarray  # (m,) positions within the admitted class data
-
-    def __len__(self):
-        return self.features.shape[0]
-
-    def truncate(self, m):
-        return ExemplarSet(self.features[:m], self.splits[:m], self.source_indices[:m])
 
 
 @dataclass(frozen=True)
 class MemoryBuffer:
     capacity: int
-    state_index: int
-    dim: int | None
-    classes: dict  # class id -> ExemplarSet
+    classes: dict  # class id -> int64 row ids into the run's table, in herded order
 
     @staticmethod
     def empty(capacity):
         if capacity < 0:
             raise ParameterError("capacity must be >= 0")
-        return MemoryBuffer(capacity, 0, None, {})
+        return MemoryBuffer(capacity, {})
 
 
 # classes with at least this many feature values (rows x dims) screen
@@ -133,62 +117,29 @@ def class_quotas(capacity, class_ids):
     return {c: base + (1 if i < extra else 0) for i, c in enumerate(ids)}
 
 
-def admit_and_rebalance(buffer, new_class_data, n_classes_total):
-    """Add new classes and shrink old quotas to fit the capacity.
+def admit_and_rebalance(buffer, table, new_ids):
+    """Add the classes ``new_ids`` and shrink old quotas to fit the capacity.
 
-    Old classes keep a prefix of their stored ordering; new classes are
-    herded fresh from the provided records (test rows are ignored), only
-    as far as their quota.
+    Old classes keep a prefix of their stored rows; each new class is
+    herded fresh over its train and val rows of ``table``, only as far as
+    its quota.
     """
-    keep = new_class_data.splits != TEST
-    data = new_class_data.subset(keep)
-    new_ids = data.classes()
-    if not new_ids:
-        raise ParameterError("new_class_data holds no train/val records")
     overlap = set(new_ids) & set(buffer.classes)
     if overlap:
         raise ParameterError(f"classes already stored: {sorted(overlap)}")
-
-    all_ids = sorted(set(buffer.classes) | set(new_ids))
-    if len(all_ids) != n_classes_total:
-        raise ParameterError(
-            f"expected {n_classes_total} classes after admission, have {len(all_ids)}"
-        )
-    if buffer.dim is not None and data.dim != buffer.dim:
-        raise ParameterError("feature dimension mismatch with stored exemplars")
-
-    quotas = class_quotas(buffer.capacity, all_ids)
+    quotas = class_quotas(buffer.capacity, set(buffer.classes) | set(new_ids))
+    herdable = table.splits != TEST
     classes = {}
-    for c in all_ids:
-        q = quotas[c]
+    for c, q in quotas.items():
         if c in buffer.classes:
-            classes[c] = buffer.classes[c].truncate(q)
+            classes[c] = buffer.classes[c][:q]
         else:
-            idx = np.flatnonzero(data.labels == c)
-            take = herd_order(data.features[idx], q)
-            classes[c] = ExemplarSet(data.features[idx][take], data.splits[idx][take], take)
-    return MemoryBuffer(buffer.capacity, buffer.state_index + 1, data.dim, classes)
+            rows = np.flatnonzero((table.labels == c) & herdable)
+            classes[c] = rows[herd_order(table.features[rows], q)]
+    return MemoryBuffer(buffer.capacity, classes)
 
 
-def memory_dataset(buffer):
-    """All stored exemplars as a DatasetTable, split flags preserved."""
-    if not buffer.classes:
-        return DatasetTable.empty(buffer.dim or 0)
-    feats, labels, splits = [], [], []
-    for c in sorted(buffer.classes):
-        stored = buffer.classes[c]
-        feats.append(stored.features)
-        labels.append(np.full(len(stored), c, dtype=np.int64))
-        splits.append(stored.splits)
-    return DatasetTable(np.concatenate(feats), np.concatenate(labels), np.concatenate(splits))
-
-
-def snapshot(buffer):
-    """JSON-serializable view of what the buffer holds."""
-    return {
-        "capacity": buffer.capacity,
-        "state_index": buffer.state_index,
-        "classes": {
-            str(c): [int(i) for i in s.source_indices] for c, s in sorted(buffer.classes.items())
-        },
-    }
+def memory_dataset(buffer, table):
+    """The stored rows of ``table``, class by class, in herded order."""
+    rows = [buffer.classes[c] for c in sorted(buffer.classes)]
+    return table.subset(np.concatenate([np.empty(0, dtype=np.int64), *rows]))

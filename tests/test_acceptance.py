@@ -198,17 +198,17 @@ def test_8_memory_respects_capacity_prefix_and_first_pick():
     rng = np.random.default_rng(4)
     B = 12
 
-    def table_of(classes):
-        feats = np.concatenate([rng.normal(size=(20, 3)) + 5 * c for c in classes])
-        labels = np.concatenate([np.full(20, c) for c in classes])
-        return DatasetTable(feats, labels, ["train"] * (20 * len(classes)))
+    classes = range(4)
+    feats = np.concatenate([rng.normal(size=(20, 3)) + 5 * c for c in classes])
+    labels = np.concatenate([np.full(20, c) for c in classes])
+    table = DatasetTable(feats, labels, ["train"] * (20 * len(classes)))
 
-    buf = admit_and_rebalance(MemoryBuffer.empty(B), table_of([0, 1]), 2)
-    stored = {c: buf.classes[c].features.copy() for c in buf.classes}
-    buf = admit_and_rebalance(buf, table_of([2, 3]), 4)
+    buf = admit_and_rebalance(MemoryBuffer.empty(B), table, [0, 1])
+    stored = {c: table.features[buf.classes[c]] for c in buf.classes}
+    buf = admit_and_rebalance(buf, table, [2, 3])
     assert sum(len(s) for s in buf.classes.values()) <= B
     for c in (0, 1):
-        kept = buf.classes[c].features
+        kept = table.features[buf.classes[c]]
         assert np.array_equal(kept, stored[c][: len(kept)])
 
     for _ in range(100):

@@ -27,6 +27,7 @@ from imbcal.calibration import (
     platt_fit_binary,
     predict,
 )
+from imbcal.dataset import DatasetTable
 from imbcal.errors import ConfigurationError, ParameterError
 
 
@@ -50,6 +51,14 @@ def make_ctx(train_scores, train_labels, val_scores=None, val_labels=None,
         new_classes=tuple(new),
         **kw,
     )
+
+
+def exemplar_table(per_class):
+    """Train-split exemplar table from a class id -> (m, d) features dict."""
+    ids = sorted(per_class)
+    feats = np.concatenate([per_class[c] for c in ids])
+    labels = np.concatenate([np.full(len(per_class[c]), c) for c in ids])
+    return DatasetTable(feats, labels, ["train"] * len(labels))
 
 
 class TestPava:
@@ -228,33 +237,33 @@ class TestNem:
         return {0: np.array([[0.0, 0.0], [2.0, 0.0]]), 1: np.array([[10.0, 0.0]])}
 
     def test_means_are_exact(self):
-        ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplar_features=self.exemplars())
+        ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplars=exemplar_table(self.exemplars()))
         state = fit_nem(ctx)
         assert state.params["means"].tolist() == [[1.0, 0.0], [10.0, 0.0]]
 
     def test_score_is_inverse_distance(self):
-        ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplar_features=self.exemplars())
+        ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplars=exemplar_table(self.exemplars()))
         state = fit_nem(ctx)
         out = apply_nem(state, np.array([[1.5, 0.0]]))
         assert out[0, 0] == pytest.approx(1.0 / 0.5, rel=1e-9)
 
     def test_argmax_is_nearest_mean(self):
-        ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplar_features=self.exemplars())
+        ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplars=exemplar_table(self.exemplars()))
         state = fit_nem(ctx)
         out = apply_nem(state, np.array([[2.0, 0.0], [9.0, 0.0]]))
         assert predict(out).tolist() == [0, 1]
 
     def test_translation_equivariance(self):
-        ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplar_features=self.exemplars())
+        ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplars=exemplar_table(self.exemplars()))
         state = fit_nem(ctx)
         shift = np.array([3.0, -4.0])
         shifted = {c: f + shift for c, f in self.exemplars().items()}
-        state2 = fit_nem(make_ctx(np.zeros((2, 2)), [0, 1], exemplar_features=shifted))
+        state2 = fit_nem(make_ctx(np.zeros((2, 2)), [0, 1], exemplars=exemplar_table(shifted)))
         q = np.array([[1.0, 1.0]])
         assert np.allclose(apply_nem(state, q), apply_nem(state2, q + shift))
 
     def test_missing_class_rejected(self):
-        ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplar_features={0: np.zeros((1, 2))})
+        ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplars=exemplar_table({0: np.zeros((1, 2))}))
         with pytest.raises(ConfigurationError):
             fit_nem(ctx)
 
@@ -266,7 +275,7 @@ class TestBalanced:
         exemplars = {c: rng.normal(size=(14, dim)) + 3 * c for c in range(n_classes)}
         exemplars[3] = exemplars[3][:5]  # one class stored fewer than the quota
         ctx = make_ctx(np.zeros((n_classes, n_classes)), list(range(n_classes)),
-                       exemplar_features=exemplars, memory_capacity=capacity)
+                       exemplars=exemplar_table(exemplars), memory_capacity=capacity)
         model = extend_model(None, n_classes, dim, seed=0)
         state = fit_balanced(ctx, model, TrainConfig(epochs=2, seed=0))
         used = state.flags["per_class_used"]
@@ -281,7 +290,7 @@ class TestBalanced:
         exemplars = {c: rng.normal(scale=0.2, size=(10, dim)) + 8 * np.eye(dim)[c]
                      for c in range(3)}
         ctx = make_ctx(np.zeros((3, 3)), [0, 1, 2],
-                       exemplar_features=exemplars, memory_capacity=30)
+                       exemplars=exemplar_table(exemplars), memory_capacity=30)
         model = extend_model(None, 3, dim, seed=0)
         state = fit_balanced(ctx, model, TrainConfig(epochs=25, seed=0))
         for c in range(3):
@@ -290,7 +299,7 @@ class TestBalanced:
 
     def test_missing_capacity_rejected(self):
         ctx = make_ctx(np.zeros((2, 2)), [0, 1],
-                       exemplar_features={0: np.zeros((1, 2)), 1: np.zeros((1, 2))})
+                       exemplars=exemplar_table({0: np.zeros((1, 2)), 1: np.zeros((1, 2))}))
         with pytest.raises(ConfigurationError):
             fit_balanced(ctx, extend_model(None, 2, 2, seed=0), TrainConfig())
 

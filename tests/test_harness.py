@@ -218,13 +218,15 @@ class TestConfig:
         section[keys[-1]] = value
         return cfg
 
-    @pytest.mark.parametrize("keys, name", [
+    FLOAT_KEYS = [
         (("train", "lr"), "train.lr"),
         (("train", "decay"), "train.decay"),
         (("val_fraction",), "val_fraction"),
         (("data", "synthetic", "separation"), "synthetic.separation"),
         (("data", "synthetic", "noise"), "synthetic.noise"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("keys, name", FLOAT_KEYS)
     @pytest.mark.parametrize("value", [True, "7"])
     def test_float_keys_refuse_bools_and_strings(
         self, tmp_path, capsys, monkeypatch, keys, name, value
@@ -238,6 +240,27 @@ class TestConfig:
         path.write_text(json.dumps(self._with(base, keys, value)))
         assert main(["run", "--config", str(path)]) == 2
         assert f"{name} must be a JSON number, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys, name", FLOAT_KEYS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_float_keys_refuse_non_finite_values_before_training(
+        self, tmp_path, capsys, monkeypatch, keys, name, value
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("imbcal.backbone.train", no_training)
+        base = {
+            "num_states": 2, "memory": 8,
+            "data": {"synthetic": {"classes": 4, "dim": 3, "per_class": 15}},
+        }
+        path = tmp_path / "cfg.json"
+        # json writes NaN, Infinity and -Infinity, which json.load reads back
+        path.write_text(json.dumps(self._with(base, keys, value)))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert f"{name} must be finite, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_float_keys_read_integers_as_floats_and_refuse_bools(self):
         base = {
@@ -352,6 +375,19 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "label,s0,s1"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("option", ["--old", "--new"])
+    @pytest.mark.parametrize("ids", ["a", "0,"])
+    def test_calibrate_mb_non_integer_ids_exit_2(self, tmp_path, capsys, option, ids):
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,s0,s1\n0,2.0,1.0\n1,1.0,2.0\n")
+        argv = ["calibrate", "--method", "mb", "--scores", str(scores),
+                "--old", "0", "--new", "1"]
+        argv[argv.index(option) + 1] = ids
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{option}: class ids must be comma-separated integers" in err
+        assert "Traceback" not in err
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -561,6 +597,46 @@ def test_summarize_rejects_single_state():
     reports = [StateReport(1, None, 1.0, {"none": MethodResult(50.0, 0.1)})]
     with pytest.raises(ParameterError):
         summarize(reports, ("none",))
+
+
+class TestManifestTypes:
+    """A manifest must be a JSON object whose dim and classes are JSON integers."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        assert main(["gen", "--classes", "4", "--dim", "3", "--per-class", "10",
+                     "--seed", "1", "--out", str(tmp_path / "feat.csv")]) == 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "num_states": 2, "memory": 8, "methods": ["none"], "train": {"epochs": 2},
+            "data": {"features": {"features_path": str(tmp_path / "feat.csv"),
+                                  "manifest_path": str(tmp_path / "feat.csv.manifest.json")}},
+        }))
+        return path
+
+    @pytest.mark.parametrize("manifest, message", [
+        ({"dim": "x"}, "manifest key 'dim' must be a JSON integer, got 'x'"),
+        ({"dim": None}, "manifest key 'dim' must be a JSON integer, got None"),
+        ({"dim": 2.7}, "manifest key 'dim' must be a JSON integer, got 2.7"),
+        ({"dim": True}, "manifest key 'dim' must be a JSON integer, got True"),
+        ({"classes": 4.0}, "manifest key 'classes' must be a JSON integer, got 4.0"),
+        ({"classes": False}, "manifest key 'classes' must be a JSON integer, got False"),
+        (5, "manifest must be a JSON object"),
+        ([3, 4], "manifest must be a JSON object"),
+    ])
+    def test_wrongly_typed_manifest_exits_3(self, tmp_path, capsys, config, manifest, message):
+        path = tmp_path / "feat.csv.manifest.json"
+        if isinstance(manifest, dict):
+            manifest = {**json.loads(path.read_text()), **manifest}
+        path.write_text(json.dumps(manifest))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"feat.csv.manifest.json: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_manifest_runs(self, tmp_path, config):
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
 
 
 class TestNotUtf8:

@@ -1,9 +1,6 @@
-import json
-
 import numpy as np
 import pytest
 
-from imbcal import dataset
 from imbcal.dataset import DatasetTable, generate_synthetic
 from imbcal.errors import ParameterError
 from imbcal.memory import (
@@ -12,7 +9,6 @@ from imbcal.memory import (
     class_quotas,
     herd_order,
     memory_dataset,
-    snapshot,
 )
 
 
@@ -77,73 +73,70 @@ class TestQuotas:
 class TestAdmitAndRebalance:
     def test_quotas_and_capacity(self):
         buf = MemoryBuffer.empty(10)
-        buf = admit_and_rebalance(buf, table_for({0: 8, 1: 8, 2: 8}), 3)
+        buf = admit_and_rebalance(buf, table_for({0: 8, 1: 8, 2: 8}), [0, 1, 2])
         assert {c: len(s) for c, s in buf.classes.items()} == {0: 4, 1: 3, 2: 3}
         assert sum(len(s) for s in buf.classes.values()) <= 10
 
     def test_short_class_stores_what_it_has(self):
         buf = MemoryBuffer.empty(12)
-        buf = admit_and_rebalance(buf, table_for({0: 2, 1: 9, 2: 9}), 3)
+        buf = admit_and_rebalance(buf, table_for({0: 2, 1: 9, 2: 9}), [0, 1, 2])
         assert len(buf.classes[0]) == 2
 
     def test_old_classes_truncated_to_prefix(self):
-        buf = MemoryBuffer.empty(8)
-        buf1 = admit_and_rebalance(buf, table_for({0: 10, 1: 10}), 2)
-        stored_before = {c: buf1.classes[c].features.copy() for c in buf1.classes}
-        buf2 = admit_and_rebalance(buf1, table_for({2: 10, 3: 10}), 4)
+        table = table_for({0: 10, 1: 10, 2: 10, 3: 10})
+        buf1 = admit_and_rebalance(MemoryBuffer.empty(8), table, [0, 1])
+        buf2 = admit_and_rebalance(buf1, table, [2, 3])
         for c in (0, 1):
-            kept = buf2.classes[c].features
-            assert np.array_equal(kept, stored_before[c][: len(kept)])
+            kept = buf2.classes[c]
+            assert np.array_equal(kept, buf1.classes[c][: len(kept)])
         assert sum(len(s) for s in buf2.classes.values()) <= 8
 
     def test_readmission_idempotent_quota(self):
         buf = MemoryBuffer.empty(9)
-        buf1 = admit_and_rebalance(buf, table_for({0: 10, 1: 10, 2: 10}), 3)
+        buf1 = admit_and_rebalance(buf, table_for({0: 10, 1: 10, 2: 10}), [0, 1, 2])
         # truncating again with the same class set is a fixed point
         sizes = {c: len(s) for c, s in buf1.classes.items()}
         quotas = class_quotas(9, [0, 1, 2])
         assert sizes == quotas
 
     def test_overlapping_classes_rejected(self):
-        buf = admit_and_rebalance(MemoryBuffer.empty(6), table_for({0: 4}), 1)
+        table = table_for({0: 4})
+        buf = admit_and_rebalance(MemoryBuffer.empty(6), table, [0])
         with pytest.raises(ParameterError):
-            admit_and_rebalance(buf, table_for({0: 4}), 1)
+            admit_and_rebalance(buf, table, [0])
 
     def test_capacity_smaller_than_classes(self):
         buf = MemoryBuffer.empty(2)
-        buf = admit_and_rebalance(buf, table_for({0: 3, 1: 3, 2: 3}), 3)
+        buf = admit_and_rebalance(buf, table_for({0: 3, 1: 3, 2: 3}), [0, 1, 2])
         assert {c: len(s) for c, s in buf.classes.items()} == {0: 1, 1: 1, 2: 0}
 
     def test_test_records_ignored(self):
         t = generate_synthetic(2, 3, 5, 5.0, 1.0, seed=0, test_per_class=4)
-        buf = admit_and_rebalance(MemoryBuffer.empty(20), t, 2)
+        buf = admit_and_rebalance(MemoryBuffer.empty(20), t, [0, 1])
         assert sum(len(s) for s in buf.classes.values()) == 10
 
-    def test_state_index_increments(self):
-        buf = MemoryBuffer.empty(6)
-        buf = admit_and_rebalance(buf, table_for({0: 3}), 1)
-        assert buf.state_index == 1
+    def test_rows_are_herd_picks_of_the_class(self):
+        t = generate_synthetic(3, 4, 9, 5.0, 1.0, seed=2, test_per_class=5)
+        buf = admit_and_rebalance(MemoryBuffer.empty(12), t, [0, 1, 2])
+        for c, rows in buf.classes.items():
+            assert np.all(t.labels[rows] == c) and np.all(t.splits[rows] != "test")
+            own = t.only(split=("train", "val"), classes=[c]).features
+            assert np.array_equal(t.features[rows], own[herd_order(own, len(rows))])
 
 
 class TestMemoryDataset:
     def test_empty_buffer(self):
-        assert len(memory_dataset(MemoryBuffer.empty(5))) == 0
+        out = memory_dataset(MemoryBuffer.empty(5), table_for({0: 3}))
+        assert len(out) == 0 and out.dim == 3
 
     def test_census_matches_stored_counts(self):
-        buf = admit_and_rebalance(MemoryBuffer.empty(10), table_for({0: 8, 1: 8, 2: 8}), 3)
-        assert memory_dataset(buf).census == {0: 4, 1: 3, 2: 3}
+        table = table_for({0: 8, 1: 8, 2: 8})
+        buf = admit_and_rebalance(MemoryBuffer.empty(10), table, [0, 1, 2])
+        assert memory_dataset(buf, table).census == {0: 4, 1: 3, 2: 3}
 
     def test_val_flags_preserved(self):
         feats = np.arange(12, dtype=float).reshape(6, 2)
         t = DatasetTable(feats, [0] * 6, ["train", "val", "train", "val", "train", "train"])
-        buf = admit_and_rebalance(MemoryBuffer.empty(6), t, 1)
-        out = memory_dataset(buf)
+        buf = admit_and_rebalance(MemoryBuffer.empty(6), t, [0])
+        out = memory_dataset(buf, t)
         assert sorted(out.splits.tolist()) == ["train"] * 4 + ["val"] * 2
-
-
-def test_snapshot_is_json_serializable():
-    buf = admit_and_rebalance(MemoryBuffer.empty(5), table_for({0: 4, 1: 4}), 2)
-    blob = json.dumps(snapshot(buf))
-    back = json.loads(blob)
-    assert back["capacity"] == 5
-    assert set(back["classes"]) == {"0", "1"}

@@ -17,7 +17,6 @@ USERS = PROGRAM + sorted((ROOT / "bench").glob("*.py"))
 ALLOWED = {
     "brute_force_breaks",  # the enumeration oracle of fisher_jenks
     # kept for a machine-readable run trace to adopt
-    "snapshot",
     "to_json",
 }
 
