@@ -28,7 +28,7 @@ import numpy as np
 
 from . import backbone
 from .breaks import fisher_jenks
-from .dataset import TRAIN, DatasetTable
+from .dataset import DatasetTable
 from .errors import ConfigurationError, ParameterError
 from .metrics import top1
 
@@ -215,9 +215,7 @@ def fit_isotonic(ctx):
         b, l = fit_step_map(ctx.train_scores[:, c], targets)
         boundaries[c] = b
         levels[c] = l
-    return CalibratorState(
-        "iso", {"boundaries": boundaries, "levels": levels, "num_classes": num_classes}
-    )
+    return CalibratorState("iso", {"boundaries": boundaries, "levels": levels})
 
 
 def apply_isotonic(state, scores):
@@ -309,40 +307,48 @@ def apply_platt(state, scores):
 
 
 # ---------------------------------------------------------------------------
-# thresholding
+# per-class factors: th, mb and fj each fit one factor per class
 
 
 def fit_threshold(ctx):
-    """Thresholding has no fitted parameters beyond the class counts, which
-    must be strictly positive."""
+    """Factors (sum n_l) / n_i, dividing each probability by its class
+    prior; the class counts must be strictly positive."""
     counts = np.asarray(ctx.class_counts, dtype=np.float64)
     if np.any(counts <= 0):
         raise ParameterError("class counts must be strictly positive")
-    return CalibratorState("th", {"class_counts": counts})
+    return CalibratorState("th", {"factors": counts.sum() / counts})
 
 
-def apply_threshold(state, probs):
-    """Divide each class's probability by its prior: p_i * (sum n_l) / n_i."""
-    probs = np.asarray(probs, dtype=np.float64)
-    counts = state.params["class_counts"]
-    return probs * (counts.sum() / counts)
+def apply_factors(state, x):
+    """Multiply each class's column by its fitted factor."""
+    return np.asarray(x, dtype=np.float64) * state.params["factors"]
+
+
+# One multiply under three names: bench/spans.py wraps each name, and
+# calibrate calls each method's apply through its own name, so a traced
+# run still times th, mb and fj apply separately.
+apply_threshold = apply_mb = apply_fj = apply_factors
 
 
 # ---------------------------------------------------------------------------
 # nearest mean of exemplars
 
 
+def _exemplar_rows(ctx):
+    """Each class's row ids into ``ctx.exemplars``, in herded order."""
+    rows = [np.flatnonzero(ctx.exemplars.labels == c) for c in range(ctx.num_classes)]
+    for c, r in enumerate(rows):
+        if len(r) == 0:
+            raise ConfigurationError(f"class {c} has no exemplars in memory")
+    return rows
+
+
 def fit_nem(ctx):
     """Per-class exemplar means, computed after exemplar selection."""
     if ctx.exemplars is None:
         raise ConfigurationError("nem needs the exemplar memory")
-    rows = []
-    for c in range(ctx.num_classes):
-        feats = ctx.exemplars.features[ctx.exemplars.labels == c]
-        if len(feats) == 0:
-            raise ConfigurationError(f"class {c} has no exemplars in memory")
-        rows.append(feats.mean(axis=0))
-    return CalibratorState("nem", {"means": np.vstack(rows)})
+    means = [ctx.exemplars.features[r].mean(axis=0) for r in _exemplar_rows(ctx)]
+    return CalibratorState("nem", {"means": np.vstack(means)})
 
 
 def apply_nem(state, features):
@@ -371,19 +377,10 @@ def fit_balanced(ctx, model, config):
     if ctx.exemplars is None or ctx.memory_capacity is None:
         raise ConfigurationError("bal needs the exemplar memory and its capacity")
     quota = ctx.memory_capacity // ctx.num_classes
-    rows, used = [], {}
-    for c in range(ctx.num_classes):
-        stored = np.flatnonzero(ctx.exemplars.labels == c)
-        if len(stored) == 0:
-            raise ConfigurationError(f"class {c} has no exemplars in memory")
-        rows.append(stored[:quota])
-        used[c] = len(rows[-1])
-    table = ctx.exemplars.subset(np.concatenate(rows))
-    if len(table.only(split=TRAIN)) == 0:
-        raise ParameterError("balanced table has no train-split records")
-    retrained = backbone.train(model, table, config)
+    rows = [r[:quota] for r in _exemplar_rows(ctx)]
+    retrained = backbone.train(model, ctx.exemplars.subset(np.concatenate(rows)), config)
     state = CalibratorState("bal", {"weights": retrained.weights, "biases": retrained.biases})
-    state.flags["per_class_used"] = used
+    state.flags["per_class_used"] = {c: len(r) for c, r in enumerate(rows)}
     return state
 
 
@@ -397,37 +394,25 @@ def apply_balanced(state, features):
 
 
 def fit_mb(ctx):
-    """Scale factor mu_new / mu_old from ground-truth validation scores."""
+    """Old-class factor mu_new / mu_old from ground-truth validation scores."""
     flags = {}
+    truth = ctx.val_scores[np.arange(len(ctx.val_labels)), ctx.val_labels]
+    old = np.array(ctx.old_classes, dtype=np.int64)
+    old_mask = np.isin(ctx.val_labels, old)
+    new_mask = np.isin(ctx.val_labels, np.array(ctx.new_classes, dtype=np.int64))
     if not ctx.old_classes:
-        r = 1.0
         flags["identity"] = "no old classes at the first state"
+    elif not old_mask.any() or not new_mask.any():
+        flags["identity"] = "a class group has no validation samples"
     else:
-        truth = ctx.val_scores[np.arange(len(ctx.val_labels)), ctx.val_labels]
-        old_mask = np.isin(ctx.val_labels, np.array(ctx.old_classes, dtype=np.int64))
-        new_mask = np.isin(ctx.val_labels, np.array(ctx.new_classes, dtype=np.int64))
-        if not old_mask.any() or not new_mask.any():
-            r = 1.0
-            flags["identity"] = "a class group has no validation samples"
-        else:
-            mu_old = float(truth[old_mask].mean())
-            mu_new = float(truth[new_mask].mean())
-            flags["mu_old"], flags["mu_new"] = mu_old, mu_new
-            if mu_old <= 0:
-                r = 1.0
-                flags["identity"] = "non-positive old-class mean score"
-            else:
-                r = mu_new / mu_old
-    return CalibratorState("mb", {"ratio": r, "old_classes": tuple(ctx.old_classes)}, flags)
-
-
-def apply_mb(state, scores):
-    scores = np.asarray(scores, dtype=np.float64)
-    out = scores.copy()
-    old = list(state.params["old_classes"])
-    if old:
-        out[:, old] = out[:, old] * state.params["ratio"]
-    return out
+        flags["mu_old"] = float(truth[old_mask].mean())
+        flags["mu_new"] = float(truth[new_mask].mean())
+        if flags["mu_old"] <= 0:
+            flags["identity"] = "non-positive old-class mean score"
+    r = 1.0 if "identity" in flags else flags["mu_new"] / flags["mu_old"]
+    factors = np.ones(ctx.num_classes)
+    factors[old] = r
+    return CalibratorState("mb", {"ratio": r, "factors": factors}, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +420,7 @@ def apply_mb(state, scores):
 
 
 def _fj_factors(ctx, num_clusters):
-    counts = np.asarray(ctx.class_counts, dtype=np.float64)
-    result = fisher_jenks(counts, num_clusters)
-    assignments = result.assignments
+    assignments = fisher_jenks(ctx.class_counts, num_clusters).assignments
     truth = ctx.val_scores[np.arange(len(ctx.val_labels)), ctx.val_labels]
     sample_cluster = assignments[ctx.val_labels]
 
@@ -449,47 +432,31 @@ def _fj_factors(ctx, num_clusters):
 
     # clusters are ordered by ascending count, so the last one holds the
     # classes with the largest per-class image counts
-    top = num_clusters - 1
-    mu_top = cluster_means[top]
+    mu_top = cluster_means[-1]
     factors = np.ones(ctx.num_classes)
     if np.isfinite(mu_top) and mu_top > 0:
         for cl in range(num_clusters):
             mu = cluster_means[cl]
             if np.isfinite(mu) and mu > 0:
                 factors[assignments == cl] = mu_top / mu
-    return factors, assignments
+    return factors
 
 
-def fit_fj(ctx, candidate_cluster_counts=None):
+def fit_fj(ctx):
     """Cluster classes by image count; pick the cluster count on validation.
 
-    For each candidate L the class counts are clustered, each class's
-    scores are scaled by mu(top cluster) / mu(its cluster), and the L
-    with the best validation top-1 wins (ties to the smallest L).
+    For each L in 1..min(8, distinct counts) the class counts are clustered,
+    each class's scores are scaled by mu(top cluster) / mu(its cluster), and
+    the L with the best validation top-1 wins (ties to the smallest L).
     """
-    counts = np.asarray(ctx.class_counts, dtype=np.float64)
-    if candidate_cluster_counts is None:
-        distinct = len(np.unique(counts))
-        candidate_cluster_counts = range(1, min(8, distinct) + 1)
     best = None
-    for num_clusters in sorted(set(int(L) for L in candidate_cluster_counts)):
-        if not 1 <= num_clusters <= len(counts):
-            raise ParameterError(f"cluster count {num_clusters} out of range")
-        factors, assignments = _fj_factors(ctx, num_clusters)
-        preds = predict(ctx.val_scores * factors)
-        acc = top1(preds, ctx.val_labels)
+    for num_clusters in range(1, min(8, len(np.unique(ctx.class_counts))) + 1):
+        factors = _fj_factors(ctx, num_clusters)
+        acc = top1(predict(ctx.val_scores * factors), ctx.val_labels)
         if best is None or acc > best[0]:
-            best = (acc, num_clusters, factors, assignments)
-    acc, chosen, factors, assignments = best
-    return CalibratorState(
-        "fj",
-        {"factors": factors, "num_clusters": chosen, "assignments": assignments},
-        {"val_top1": acc},
-    )
-
-
-def apply_fj(state, scores):
-    return np.asarray(scores, dtype=np.float64) * state.params["factors"]
+            best = (acc, num_clusters, factors)
+    acc, chosen, factors = best
+    return CalibratorState("fj", {"factors": factors, "num_clusters": chosen}, {"val_top1": acc})
 
 
 # ---------------------------------------------------------------------------

@@ -32,16 +32,6 @@ SOFT_MINIMUM = 50
 
 
 @dataclass(frozen=True)
-class ImbalanceProfile:
-    kind: str  # "none" | "soft" | "strong"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "soft", "strong"):
-            raise ParameterError(f"unknown imbalance kind: {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class StatePlan:
     """Class ordering chunked into incremental states."""
 
@@ -184,20 +174,22 @@ def largest_remainder(total, proportions):
     return base
 
 
-def apply_imbalance(table, profile):
-    """Randomly discard train records per class according to the profile.
+def apply_imbalance(table, kind, seed):
+    """Randomly discard train records per class: ``kind`` is "none", "soft" or "strong".
 
     Test and val records are never touched; retained counts stay within
-    the profile's per-group interval, clamped to what is available.
+    the kind's per-group interval, clamped to what is available.
     """
-    if profile.kind == "none":
+    if kind not in ("none", "soft", "strong"):
+        raise ParameterError(f"unknown imbalance kind: {kind!r}")
+    if kind == "none":
         return table
 
-    generator = rng.op_rng(profile.seed, rng.IMBALANCE)
+    generator = rng.op_rng(seed, rng.IMBALANCE)
     census = table.census
     classes = sorted(census)
     targets = {}
-    if profile.kind == "soft":
+    if kind == "soft":
         for c in classes:
             n = census[c]
             lo = min(SOFT_MINIMUM, n)
@@ -413,11 +405,19 @@ def load_features(features_path, manifest_path):
 
     with open_text(features_path) as fh:
         header = read_header(fh, features_path)
-        expected = ["label", "split"] + [f"f{i}" for i in range(dim)]
-        if header != expected:
+        # the field count first, so a huge manifest dim builds no huge header
+        if len(header) != dim + 2:
             raise FormatError(
-                f"{features_path}: line 1: bad header, expected {','.join(expected)}"
+                f"{features_path}: line 1: bad header, expected {dim + 2} fields, "
+                f"got {len(header)}"
             )
+        for i, got in enumerate(header):
+            want = ("label", "split")[i] if i < 2 else f"f{i - 2}"
+            if got != want:
+                raise FormatError(
+                    f"{features_path}: line 1: bad header, field {i + 1} is {got!r}, "
+                    f"expected {want!r}"
+                )
         leads, feats = read_rows(
             fh, features_path, 2, dim, parse_lead, "non-numeric feature value"
         )

@@ -55,7 +55,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if (self.synthetic is None) == (self.features_path is None):
-            raise ParameterError("configure exactly one of synthetic or feature files")
+            raise ParameterError("data must configure exactly one of 'synthetic' or 'features'")
         if not self.methods:
             raise ParameterError("methods must name at least one calibrator tag")
         unknown = set(self.methods) - set(ALL_METHODS)
@@ -63,6 +63,8 @@ class ExperimentConfig:
             raise ParameterError(f"unknown calibrator tags: {sorted(unknown)}")
         if self.memory < 0 or self.num_states < 2:
             raise ParameterError("memory must be >= 0 and num_states >= 2")
+        if self.ece_bins < 1:
+            raise ParameterError(f"ece_bins must be >= 1, got {self.ece_bins}")
 
 
 _REQUIRED = object()
@@ -99,14 +101,28 @@ def _string(obj, key, default=_REQUIRED, section=""):
     return _typed(obj, key, str, default, "a JSON string", section)
 
 
+def _known(obj, keys, section=""):
+    """``obj`` if it defines no key outside ``keys``; the first other key is refused."""
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise ParameterError(f"unknown config key {section}{unknown[0]}")
+    return obj
+
+
 def config_from_dict(obj):
     """Build an ExperimentConfig from the documented JSON schema."""
+    if not isinstance(obj, dict):
+        raise ParameterError("the experiment config must be a JSON object")
+    _known(obj, ("num_states", "memory", "data", "imbalance", "train", "methods",
+                 "val_fraction", "seeds", "class_order", "ece_bins", "output_dir"))
     try:
-        data = obj["data"]
-        synthetic = None
-        features_path = manifest_path = None
+        data = _known(_typed(obj, "data", dict, _REQUIRED, "a JSON object"),
+                      ("synthetic", "features"), "data.")
+        synthetic = features_path = manifest_path = None
         if "synthetic" in data:
-            s = data["synthetic"]
+            s = _known(_typed(data, "synthetic", dict, _REQUIRED, "a JSON object", "data."),
+                       ("classes", "dim", "per_class", "separation", "noise", "test_per_class"),
+                       "synthetic.")
             synthetic = SyntheticSpec(
                 classes=_integer(s, "classes", section="synthetic."),
                 dim=_integer(s, "dim", section="synthetic."),
@@ -115,16 +131,20 @@ def config_from_dict(obj):
                 noise=_number(s, "noise", 1.0, "synthetic."),
                 test_per_class=_integer(s, "test_per_class", None, "synthetic."),
             )
-        elif "features" in data:
-            f = data["features"]
+        if "features" in data:
+            f = _known(_typed(data, "features", dict, _REQUIRED, "a JSON object", "data."),
+                       ("features_path", "manifest_path"), "features.")
             features_path = _string(f, "features_path", section="features.")
             manifest_path = _string(f, "manifest_path", section="features.")
-        else:
-            raise ParameterError("data must configure 'synthetic' or 'features'")
-        t = _typed(obj, "train", dict, {}, "a JSON object")
-        seeds = _typed(obj, "seeds", dict, {}, "a JSON object")
+        t = _known(_typed(obj, "train", dict, {}, "a JSON object"),
+                   ("epochs", "lr", "patience", "decay", "batch_size"), "train.")
+        seeds = _known(_typed(obj, "seeds", dict, {}, "a JSON object"),
+                       ("data", "model", "protocol"), "seeds.")
         methods = _typed(obj, "methods", list, list(ALL_METHODS), "a JSON list of tags")
         class_order = _typed(obj, "class_order", list, None, "a JSON list of class ids")
+        bad = [c for c in class_order or () if type(c) is not int]
+        if bad:
+            raise ParameterError(f"class_order entries must be JSON integers, got {bad[0]!r}")
         return ExperimentConfig(
             num_states=_integer(obj, "num_states"),
             memory=_integer(obj, "memory"),
@@ -144,7 +164,7 @@ def config_from_dict(obj):
             data_seed=_integer(seeds, "data", 0, "seeds."),
             model_seed=_integer(seeds, "model", 0, "seeds."),
             protocol_seed=_integer(seeds, "protocol", 0, "seeds."),
-            class_order=tuple(class_order) if class_order else None,
+            class_order=None if class_order is None else tuple(class_order),
             ece_bins=_integer(obj, "ece_bins", metrics.ECE_BINS_DEFAULT),
             output_dir=_string(obj, "output_dir", None),
         )
@@ -163,8 +183,7 @@ def _build_table(cfg):
         )
     else:
         table = dataset.load_features(cfg.features_path, cfg.manifest_path)
-    profile = dataset.ImbalanceProfile(cfg.imbalance_kind, cfg.data_seed)
-    table = dataset.apply_imbalance(table, profile)
+    table = dataset.apply_imbalance(table, cfg.imbalance_kind, cfg.data_seed)
     return dataset.split_train_val(table, cfg.val_fraction, derive_seed(cfg.data_seed, 1))
 
 

@@ -183,7 +183,7 @@ def test_7_degenerate_fits_never_change_the_argmax():
     assert mb_state.params["ratio"] == 1.0
     assert np.array_equal(predict(apply_mb(mb_state, scores)), base)
     # a single cluster rescales every class by the same factor
-    fj_state = fit_fj(ctx, candidate_cluster_counts=[1])
+    fj_state = fit_fj(ctx)
     assert np.array_equal(predict(apply_fj(fj_state, scores)), base)
     # uniform counts scale all probabilities equally
     probs = softmax(scores)

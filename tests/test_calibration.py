@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from imbcal.backbone import TrainConfig, extend_model, scores
 from imbcal.calibration import (
     CalibContext,
+    _fj_factors,
     apply_balanced,
     apply_fj,
     apply_isotonic,
@@ -229,7 +230,7 @@ class TestThreshold:
     def test_fit_records_counts(self):
         ctx = make_ctx(np.zeros((3, 2)), [0, 0, 1])
         state = fit_threshold(ctx)
-        assert state.params["class_counts"].tolist() == [2.0, 1.0]
+        assert state.params["factors"].tolist() == [1.5, 3.0]
 
 
 class TestNem:
@@ -297,6 +298,19 @@ class TestBalanced:
             preds = predict(apply_balanced(state, exemplars[c]))
             assert np.mean(preds == c) >= 0.9
 
+    def test_zero_quota_rejected(self):
+        # capacity 2 over 3 classes gives floor(2 / 3) = 0 rows per class
+        ctx = make_ctx(np.zeros((3, 3)), [0, 1, 2], memory_capacity=2,
+                       exemplars=exemplar_table({c: np.zeros((1, 2)) for c in range(3)}))
+        with pytest.raises(ParameterError):
+            fit_balanced(ctx, extend_model(None, 3, 2, seed=0), TrainConfig(epochs=1))
+
+    def test_all_val_table_rejected(self):
+        val_only = DatasetTable(np.zeros((2, 2)), [0, 1], ["val", "val"])
+        ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplars=val_only, memory_capacity=4)
+        with pytest.raises(ParameterError):
+            fit_balanced(ctx, extend_model(None, 2, 2, seed=0), TrainConfig(epochs=1))
+
     def test_missing_capacity_rejected(self):
         ctx = make_ctx(np.zeros((2, 2)), [0, 1],
                        exemplars=exemplar_table({0: np.zeros((1, 2)), 1: np.zeros((1, 2))}))
@@ -355,15 +369,15 @@ class TestFj:
 
     def test_single_cluster_is_identity(self):
         ctx = self.clustered_ctx()
-        state = fit_fj(ctx, candidate_cluster_counts=[1])
+        state = fit_fj(ctx)
         assert state.params["factors"].tolist() == [1.0] * 4
         s = np.random.default_rng(0).normal(size=(5, 4))
         assert np.array_equal(apply_fj(state, s), s)
 
     def test_two_cluster_factors_are_mean_ratios(self):
-        state = fit_fj(self.clustered_ctx(), candidate_cluster_counts=[2])
+        factors = _fj_factors(self.clustered_ctx(), 2)
         # top cluster (counts 100) scores 0.8; small cluster 0.4 -> factor 2
-        assert state.params["factors"].tolist() == pytest.approx([1.0, 1.0, 2.0, 2.0])
+        assert factors.tolist() == pytest.approx([1.0, 1.0, 2.0, 2.0])
 
     def test_selection_prefers_smallest_l_on_ties(self):
         # validation scores are perfectly separable, so every L achieves
@@ -377,13 +391,9 @@ class TestFj:
         assert state.params["num_clusters"] == 1
 
     def test_deterministic(self):
-        a = fit_fj(self.clustered_ctx(), candidate_cluster_counts=[2])
-        b = fit_fj(self.clustered_ctx(), candidate_cluster_counts=[2])
-        assert np.array_equal(a.params["factors"], b.params["factors"])
-
-    def test_out_of_range_candidate(self):
-        with pytest.raises(ParameterError):
-            fit_fj(self.clustered_ctx(), candidate_cluster_counts=[9])
+        a = _fj_factors(self.clustered_ctx(), 2)
+        b = _fj_factors(self.clustered_ctx(), 2)
+        assert np.array_equal(a, b)
 
 
 class TestPredict:

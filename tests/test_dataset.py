@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from imbcal import dataset
 from imbcal.dataset import (
     DatasetTable,
-    ImbalanceProfile,
     apply_imbalance,
     generate_synthetic,
     largest_remainder,
@@ -62,19 +61,19 @@ class TestGenerateSynthetic:
 class TestApplyImbalance:
     def test_soft_class_at_minimum_keeps_all(self):
         t = generate_synthetic(3, 2, 50, 5.0, 1.0, seed=0)
-        out = apply_imbalance(t, ImbalanceProfile("soft", seed=7))
+        out = apply_imbalance(t, "soft", 7)
         assert all(n == 50 for n in out.census.values())
 
     def test_soft_counts_in_interval(self):
         t = generate_synthetic(4, 2, 120, 5.0, 1.0, seed=0)
-        out = apply_imbalance(t, ImbalanceProfile("soft", seed=3))
+        out = apply_imbalance(t, "soft", 3)
         assert all(50 <= n <= 120 for n in out.census.values())
 
     def test_strong_group_sizes_3_3_2_2(self):
         # with 200 initial records all four retention intervals are disjoint,
         # so group membership is visible from the retained counts
         t = generate_synthetic(10, 2, 200, 5.0, 1.0, seed=0)
-        out = apply_imbalance(t, ImbalanceProfile("strong", seed=11))
+        out = apply_imbalance(t, "strong", 11)
         counts = sorted(out.census.values())
         groups = [sum(1 for n in counts if lo <= n <= hi)
                   for lo, hi in ((10, 25), (26, 75), (76, 100), (101, 200))]
@@ -82,31 +81,32 @@ class TestApplyImbalance:
 
     def test_strong_clamps_short_classes(self):
         t = generate_synthetic(10, 2, 8, 5.0, 1.0, seed=0)
-        out = apply_imbalance(t, ImbalanceProfile("strong", seed=2))
+        out = apply_imbalance(t, "strong", 2)
         assert all(n == 8 for n in out.census.values())
 
     def test_none_is_identity(self):
         t = generate_synthetic(3, 2, 10, 5.0, 1.0, seed=0)
-        assert apply_imbalance(t, ImbalanceProfile("none")) is t
+        assert apply_imbalance(t, "none", 0) is t
 
     def test_never_touches_test_records(self):
         t = generate_synthetic(4, 2, 120, 5.0, 1.0, seed=0, test_per_class=9)
-        out = apply_imbalance(t, ImbalanceProfile("strong", seed=5))
+        out = apply_imbalance(t, "strong", 5)
         assert np.array_equal(out.only(split="test").features, t.only(split="test").features)
 
     def test_never_increases_counts(self):
         t = generate_synthetic(6, 2, 60, 5.0, 1.0, seed=0)
-        out = apply_imbalance(t, ImbalanceProfile("soft", seed=1))
+        out = apply_imbalance(t, "soft", 1)
         assert all(out.census[c] <= t.census[c] for c in t.census)
 
     def test_deterministic(self):
         t = generate_synthetic(6, 2, 90, 5.0, 1.0, seed=0)
-        p = ImbalanceProfile("strong", seed=4)
-        assert np.array_equal(apply_imbalance(t, p).features, apply_imbalance(t, p).features)
+        assert np.array_equal(apply_imbalance(t, "strong", 4).features,
+                              apply_imbalance(t, "strong", 4).features)
 
     def test_unknown_kind_rejected(self):
+        t = generate_synthetic(3, 2, 10, 5.0, 1.0, seed=0)
         with pytest.raises(ParameterError):
-            ImbalanceProfile("medium")
+            apply_imbalance(t, "medium", 0)
 
 
 class TestLargestRemainder:
@@ -211,6 +211,21 @@ class TestFeatureFiles:
         with pytest.raises(FormatError, match="empty"):
             load_features(f, m)
 
+    @pytest.mark.parametrize("header, message", [
+        ("label,split,f0,g1,f2", "field 4 is 'g1', expected 'f1'"),
+        ("split,label,f0,f1,f2", "field 1 is 'split', expected 'label'"),
+        ("label,split,f0,f1", "expected 5 fields, got 4"),
+    ])
+    def test_bad_header_names_the_count_or_first_differing_field(
+        self, tmp_path, header, message
+    ):
+        f = tmp_path / "x.csv"
+        f.write_text(f"{header}\n0,train,1.0,2.0,3.0\n")
+        m = tmp_path / "x.json"
+        m.write_text('{"dim": 3, "classes": 1, "name": "t"}')
+        with pytest.raises(FormatError, match=rf"x\.csv: line 1: bad header, {message}"):
+            load_features(f, m)
+
     def test_ragged_row_names_line(self, tmp_path):
         f = tmp_path / "x.csv"
         f.write_text("label,split,f0,f1\n0,train,1.0,2.0\n1,train,3.0\n")
@@ -249,7 +264,7 @@ class TestFeatureFiles:
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_imbalance_then_split_preserve_all_invariants(seed):
     t = generate_synthetic(8, 3, 70, 4.0, 1.0, seed=seed, test_per_class=4)
-    out = apply_imbalance(t, ImbalanceProfile("strong", seed=seed))
+    out = apply_imbalance(t, "strong", seed)
     out = split_train_val(out, 0.1, seed=seed)
     for c in range(8):
         n_train = out.census[c]

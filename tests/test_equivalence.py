@@ -4,8 +4,9 @@ Each oracle below is the plain implementation the fast one replaced:
 list-based PAVA, Platt's Newton fit that re-evaluates the likelihood at
 every step, the scalar Fisher-Jenks DP, nem's full (n, N, d) difference
 tensor, herding that orders every row of a class, SGD that takes the
-softmax and the loss with an exp each, and the feature and score CSV
-loaders that call ``float`` on each ``csv.reader`` cell. The fast
+softmax and the loss with an exp each, the feature and score CSV
+loaders that call ``float`` on each ``csv.reader`` cell, and the th and
+mb applies that preceded the shared per-class factor multiply. The fast
 versions perform the same IEEE operations on the same operands, so
 results must match bit for bit (``tobytes()``), not merely to a
 tolerance; the loaders must also fail with the same message and line.
@@ -30,8 +31,13 @@ from imbcal.calibration import (
     NEM_EPSILON,
     PLATT_GRAD_TOL,
     PLATT_MAX_ITER,
+    CalibContext,
     CalibratorState,
+    apply_mb,
     apply_nem,
+    apply_threshold,
+    fit_mb,
+    fit_threshold,
     fit_step_map,
     pava,
     platt_fit_binary,
@@ -164,6 +170,23 @@ def oracle_apply_nem(means, features):
     diff = features[:, None, :] - means[None, :, :]
     dists = np.sqrt((diff**2).sum(axis=2))
     return 1.0 / (dists + NEM_EPSILON)
+
+
+def oracle_apply_threshold(class_counts, probs):
+    """th before the factor vector: the fit kept the counts, apply divided."""
+    probs = np.asarray(probs, dtype=np.float64)
+    counts = np.asarray(class_counts, dtype=np.float64)
+    return probs * (counts.sum() / counts)
+
+
+def oracle_apply_mb(ratio, old_classes, scores):
+    """mb before the factor vector: only the old columns are multiplied."""
+    scores = np.asarray(scores, dtype=np.float64)
+    out = scores.copy()
+    old = list(old_classes)
+    if old:
+        out[:, old] = out[:, old] * ratio
+    return out
 
 
 def oracle_herd_order(class_features):
@@ -475,6 +498,73 @@ def test_apply_nem_is_bitwise_equal_across_chunk_boundaries(rows):
     features = rng.normal(size=(rows, 11)) * 3
     out = apply_nem(CalibratorState("nem", {"means": means}), features)
     assert _same(out, oracle_apply_nem(means, features))
+
+
+# ---------------------------------------------------------------------------
+# th and mb: one multiply by a per-class factor vector
+
+# A factor of 1.0 leaves a column's bits as they are. Scores never hold a
+# signaling NaN (the loaders refuse non-finite values and a product of finite
+# and infinite values only makes quiet ones), so NaNs are drawn quiet.
+score_cells = st.floats(allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+)
+
+
+def _score_matrix(data, n_classes):
+    rows = data.draw(st.integers(0, 5))
+    cells = data.draw(st.lists(score_cells, min_size=rows * n_classes,
+                               max_size=rows * n_classes))
+    return np.array(cells, dtype=np.float64).reshape(rows, n_classes)
+
+
+def _factor_ctx(class_counts, val_scores=None, val_labels=(), old=()):
+    n_classes = len(class_counts)
+    if val_scores is None:
+        val_scores = np.zeros((0, n_classes))
+    return CalibContext(
+        train_scores=np.zeros((0, n_classes)), train_labels=np.zeros(0, dtype=np.int64),
+        val_scores=val_scores, val_labels=np.asarray(val_labels, dtype=np.int64),
+        class_counts=np.asarray(class_counts), old_classes=tuple(old),
+        new_classes=tuple(c for c in range(n_classes) if c not in old),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_threshold_factors_are_bitwise_equal_to_dividing_by_the_prior(data):
+    counts = data.draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=8))
+    probs = _score_matrix(data, len(counts))
+    with np.errstate(over="ignore"):
+        out = apply_threshold(fit_threshold(_factor_ctx(counts)), probs)
+        assert _same(out, oracle_apply_threshold(counts, probs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mb_factors_are_bitwise_equal_to_scaling_the_old_columns(data):
+    n_classes = data.draw(st.integers(1, 6))
+    # unsorted and repeated ids, as `calibrate --old` passes them; may be empty
+    old = data.draw(st.lists(st.integers(0, n_classes - 1), max_size=2 * n_classes))
+    val_labels = data.draw(st.lists(st.integers(0, n_classes - 1), max_size=12))
+    truth = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(val_labels),
+                               max_size=len(val_labels)))
+    val_scores = np.zeros((len(val_labels), n_classes))
+    val_scores[np.arange(len(val_labels)), val_labels] = truth
+    state = fit_mb(_factor_ctx([1] * n_classes, val_scores, val_labels, old))
+    scores = _score_matrix(data, n_classes)
+    with np.errstate(over="ignore"):
+        out = apply_mb(state, scores)
+        assert _same(out, oracle_apply_mb(state.params["ratio"], old, scores))
+
+
+@pytest.mark.parametrize("old", [(), (1,), (2, 0), (0, 0, 2)])
+def test_mb_factors_keep_negative_zero_infinities_and_nan(old):
+    scores = np.array([[-0.0, np.inf, -np.inf], [np.nan, -np.nan, 0.0]])
+    val_scores = np.array([[0.5, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.5]])
+    state = fit_mb(_factor_ctx([1, 1, 1], val_scores, [0, 1, 2], old))
+    assert state.params["ratio"] != 1.0 or not old
+    assert _same(apply_mb(state, scores), oracle_apply_mb(state.params["ratio"], old, scores))
 
 
 # ---------------------------------------------------------------------------

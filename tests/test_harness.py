@@ -326,6 +326,94 @@ class TestConfig:
         assert "methods must name at least one calibrator tag" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def _no_training(monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("imbcal.backbone.train", no_training)
+
+    def _refused(self, tmp_path, capsys, cfg):
+        """Run ``cfg``; assert exit 2, no traceback, no outputs; return stderr."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert not out.exists()
+        return err
+
+    SYNTHETIC = {"synthetic": {"classes": 4, "dim": 3, "per_class": 15}}
+    FEATURES = {"features": {"features_path": "f.csv", "manifest_path": "f.json"}}
+
+    @pytest.mark.parametrize("data, keys, name", [
+        (SYNTHETIC, ("methds",), "methds"),
+        (SYNTHETIC, ("data", "source"), "data.source"),
+        (SYNTHETIC, ("data", "synthetic", "classs"), "synthetic.classs"),
+        (FEATURES, ("data", "features", "feature_path"), "features.feature_path"),
+        (SYNTHETIC, ("train", "epoch"), "train.epoch"),
+        (SYNTHETIC, ("seeds", "dat"), "seeds.dat"),
+    ])
+    def test_undefined_keys_exit_2_naming_the_key(
+        self, tmp_path, capsys, monkeypatch, data, keys, name
+    ):
+        self._no_training(monkeypatch)
+        cfg = {"num_states": 2, "memory": 8, "data": json.loads(json.dumps(data))}
+        err = self._refused(tmp_path, capsys, self._with(cfg, keys, 3))
+        assert f"unknown config key {name}" in err
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"data": {"synthetic": 5}}, "data.synthetic must be a JSON object, got 5"),
+        ({"data": {"features": "f.csv"}}, "data.features must be a JSON object, got 'f.csv'"),
+        ({"data": [1]}, "data must be a JSON object, got [1]"),
+        ([], "the experiment config must be a JSON object"),
+    ])
+    def test_non_object_sections_exit_2_naming_them(
+        self, tmp_path, capsys, monkeypatch, cfg, message
+    ):
+        self._no_training(monkeypatch)
+        if isinstance(cfg, dict):
+            cfg = {"num_states": 2, "memory": 8, **cfg}
+        assert message in self._refused(tmp_path, capsys, cfg)
+
+    @pytest.mark.parametrize("data", [{**SYNTHETIC, **FEATURES}, {}])
+    def test_data_needs_exactly_one_source(self, tmp_path, capsys, monkeypatch, data):
+        self._no_training(monkeypatch)
+        err = self._refused(tmp_path, capsys, {"num_states": 2, "memory": 8, "data": data})
+        assert "data must configure exactly one of 'synthetic' or 'features'" in err
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_ece_bins_below_one_exits_2_before_training(
+        self, tmp_path, capsys, monkeypatch, bins
+    ):
+        self._no_training(monkeypatch)
+        err = self._refused(tmp_path, capsys, {
+            "num_states": 2, "memory": 8, "ece_bins": bins, "data": self.SYNTHETIC,
+        })
+        assert f"ece_bins must be >= 1, got {bins}" in err
+
+    @pytest.mark.parametrize("order, message", [
+        ([0, 1.9, 2, 3], "class_order entries must be JSON integers, got 1.9"),
+        ([True, False, 2, 3], "class_order entries must be JSON integers, got True"),
+        (["3", "2", "1", "0"], "class_order entries must be JSON integers, got '3'"),
+        ([], "fixed order is not a permutation of the class ids"),
+    ])
+    def test_class_order_needs_integer_entries_before_training(
+        self, tmp_path, capsys, monkeypatch, order, message
+    ):
+        self._no_training(monkeypatch)
+        err = self._refused(tmp_path, capsys, {
+            "num_states": 2, "memory": 8, "class_order": order, "data": self.SYNTHETIC,
+        })
+        assert message in err
+
+    def test_null_or_absent_class_order_means_shuffle(self):
+        cfg = {"num_states": 2, "memory": 8, "data": self.SYNTHETIC}
+        assert config_from_dict(cfg).class_order is None
+        assert config_from_dict({**cfg, "class_order": None}).class_order is None
+        assert config_from_dict({**cfg, "class_order": [3, 1, 0, 2]}).class_order == (3, 1, 0, 2)
+
 
 class TestCli:
     def run_config(self, tmp_path):
@@ -634,6 +722,20 @@ class TestManifestTypes:
         assert f"feat.csv.manifest.json: {message}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_huge_manifest_dim_exits_3_with_a_short_message(
+        self, tmp_path, capsys, monkeypatch, config
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("imbcal.backbone.train", no_training)
+        path = tmp_path / "feat.csv.manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "dim": 400000}))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "feat.csv: line 1: bad header, expected 400002 fields, got 5" in err
+        assert len(err) < 200
 
     def test_integer_manifest_runs(self, tmp_path, config):
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
