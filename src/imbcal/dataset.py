@@ -11,6 +11,9 @@ import contextlib
 import csv
 import json
 import math
+import os
+import stat
+import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -23,6 +26,7 @@ TRAIN = "train"
 VAL = "val"
 TEST = "test"
 SPLITS = (TRAIN, VAL, TEST)
+IMBALANCE_KINDS = ("none", "soft", "strong")
 
 # strong-imbalance recipe: class-group proportions and retention intervals
 # (None upper bound means "the class's initial count")
@@ -180,7 +184,7 @@ def apply_imbalance(table, kind, seed):
     Test and val records are never touched; retained counts stay within
     the kind's per-group interval, clamped to what is available.
     """
-    if kind not in ("none", "soft", "strong"):
+    if kind not in IMBALANCE_KINDS:
         raise ParameterError(f"unknown imbalance kind: {kind!r}")
     if kind == "none":
         return table
@@ -362,7 +366,13 @@ def read_rows(fh, path, lead, width, parse_lead, non_numeric):
 
 
 def load_features(features_path, manifest_path):
-    """Read a feature CSV plus its JSON manifest into a DatasetTable."""
+    """Read a feature CSV plus its JSON manifest into a DatasetTable.
+
+    A regular-file CSV whose sidecar ``<features_path>.cache.npz`` holds
+    its SHA-256 and arrays that pass the parse's checks is not parsed; a
+    successful parse (re)writes the sidecar. The table has the same bits
+    either way, and a refused CSV gets the same message.
+    """
     try:
         with open_text(manifest_path) as fh:
             manifest = json.load(fh)
@@ -381,6 +391,23 @@ def load_features(features_path, manifest_path):
     dim, num_classes = manifest["dim"], manifest["classes"]
     if dim < 1 or num_classes < 1:
         raise FormatError(f"{manifest_path}: dim and classes must be positive")
+
+    csv_key = _file_key(features_path)
+    if csv_key is None:
+        return _parse_features(features_path, dim, num_classes)
+    digest, stamp = csv_key
+    sidecar = os.fspath(features_path) + SIDECAR_SUFFIX
+    table = _read_sidecar(sidecar, digest, dim, num_classes)
+    if table is None:
+        table = _parse_features(features_path, dim, num_classes)
+        # a CSV rewritten while it was parsed may no longer have the hashed bytes
+        if _file_stamp(features_path) == stamp:
+            _write_sidecar(sidecar, digest, table)
+    return table
+
+
+def _parse_features(features_path, dim, num_classes):
+    """Parse a feature CSV whose manifest gives ``dim`` and ``num_classes``."""
 
     def parse_lead(lineno, fields, n_fields):
         if n_fields != dim + 2:
@@ -431,11 +458,108 @@ def load_features(features_path, manifest_path):
 
     labels, splits = zip(*leads)
     table = DatasetTable(feats, np.array(labels), np.array(splits))
+    untrained = _untrained_class(table)
+    if untrained is not None:
+        raise FormatError(f"{features_path}: class {untrained} has no train records")
+    return table
+
+
+def _untrained_class(table):
+    """The first class with no train-split record, or None."""
     census = table.census
     for c in table.classes():
         if census.get(c, 0) < 1:
-            raise FormatError(f"{features_path}: class {c} has no train records")
-    return table
+            return c
+    return None
+
+
+# The parse cache. A sidecar is an uncompressed .npz of five arrays:
+# "format" (SIDECAR_FORMAT), "sha256" (the CSV's hex digest), "features"
+# (float64), "labels" (int64) and "splits" (uint8 indices into SPLITS).
+SIDECAR_SUFFIX = ".cache.npz"
+SIDECAR_FORMAT = 1
+
+
+def _file_stamp(path):
+    """(size, mtime in ns) of a regular file, or None for anything else."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return (st.st_size, st.st_mtime_ns) if stat.S_ISREG(st.st_mode) else None
+
+
+def _file_key(path):
+    """(SHA-256 hex digest, stamp) of a regular file's bytes, or None.
+
+    A pipe, a directory or a file that cannot be read has no key: it is
+    parsed, and the parse reports any error.
+    """
+    # imported on first use: loading OpenSSL adds a few MB to a process's
+    # peak RSS, which a run that reads no feature file need not pay
+    import hashlib
+
+    stamp = _file_stamp(path)
+    if stamp is None:
+        return None
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            while block := fh.read(1 << 20):
+                digest.update(block)
+    except OSError:
+        return None
+    return digest.hexdigest(), stamp
+
+
+def _read_sidecar(path, digest, dim, num_classes):
+    """The table a sidecar holds for a CSV of ``digest``, if it passes the parse's checks."""
+    try:
+        # np.load(path) leaks its file when the zip is damaged, so open it here
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            if npz["format"].item() != SIDECAR_FORMAT or npz["sha256"].item() != digest:
+                return None
+            feats, labels, codes = npz["features"], npz["labels"], npz["splits"]
+    # a damaged sidecar raises from numpy or zipfile in many ways (BadZipFile,
+    # ValueError, EOFError, KeyError, NotImplementedError, OSError, ...);
+    # each one means the same thing here: parse the CSV instead
+    except Exception:
+        return None
+    n = len(codes) if codes.ndim == 1 else 0
+    if not (
+        feats.dtype == np.float64 and labels.dtype == np.int64 and codes.dtype == np.uint8
+        and n >= 1 and feats.shape == (n, dim) and labels.shape == codes.shape
+    ):
+        return None
+    if (labels.min() < 0 or labels.max() >= num_classes or codes.max() >= len(SPLITS)
+            or not np.isfinite(feats).all()):
+        return None
+    table = DatasetTable(feats, labels, np.array(SPLITS)[codes])
+    return table if _untrained_class(table) is None else None
+
+
+def _write_sidecar(path, digest, table):
+    """Write ``table`` as the sidecar of a CSV of ``digest``, atomically.
+
+    Any OSError is ignored, since the sidecar only saves a later parse; a
+    failed write leaves no file behind.
+    """
+    codes = np.zeros(len(table), dtype=np.uint8)
+    for i, name in enumerate(SPLITS):
+        codes[table.splits == name] = i
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(
+            prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or "."
+        )
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, format=np.int64(SIDECAR_FORMAT), sha256=np.str_(digest),
+                     features=table.features, labels=table.labels, splits=codes)
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def save_features(table, features_path, manifest_path, name="dataset"):

@@ -65,6 +65,13 @@ class ExperimentConfig:
             raise ParameterError("memory must be >= 0 and num_states >= 2")
         if self.ece_bins < 1:
             raise ParameterError(f"ece_bins must be >= 1, got {self.ece_bins}")
+        if self.imbalance_kind not in dataset.IMBALANCE_KINDS:
+            raise ParameterError(
+                f"imbalance must be one of {', '.join(dataset.IMBALANCE_KINDS)}, "
+                f"got {self.imbalance_kind!r}"
+            )
+        if not 0 < self.val_fraction < 1:
+            raise ParameterError(f"val_fraction must be in (0, 1), got {self.val_fraction!r}")
 
 
 _REQUIRED = object()
@@ -289,7 +296,9 @@ def summarize(reports, methods):
             "avg_top1": metrics.average_incremental_accuracy(
                 [r.per_method[method].top1 for r in reports]
             ),
-            "avg_ece": float(np.mean([r.per_method[method].ece for r in reports[1:]])),
+            "avg_ece": metrics.average_incremental_accuracy(
+                [r.per_method[method].ece for r in reports]
+            ),
         }
     return summary
 

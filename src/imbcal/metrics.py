@@ -43,9 +43,12 @@ def top1(predictions, labels):
     return float(100.0 * np.mean(predictions == labels))
 
 
-def average_incremental_accuracy(per_state_top1):
-    """Mean top-1 over states 2..k; the first, non-incremental state is ignored."""
-    values = list(per_state_top1)
+def average_incremental_accuracy(per_state_values):
+    """Mean over states 2..k; the first, non-incremental state is ignored.
+
+    The one averaging rule of a run's summary, for top-1 and ECE alike.
+    """
+    values = list(per_state_values)
     if len(values) < 2:
         raise ParameterError("need at least two states to average")
     return float(np.mean(values[1:]))

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from imbcal.backbone import TrainConfig, extend_model, scores
 from imbcal.calibration import (
+    NEM_EPSILON,
     CalibContext,
+    CalibratorState,
     _fj_factors,
     apply_balanced,
     apply_fj,
@@ -199,6 +201,35 @@ class TestPlatt:
         assert out.shape == s.shape
         assert np.all((out > 0) & (out < 1))
 
+    @staticmethod
+    def _smoothed_nll(params, s, t):
+        # p = 1 / (1 + e^z), so -log p = log(1 + e^z) and -log(1 - p) = log(1 + e^-z)
+        z = params[0] * s + params[1]
+        return float(np.sum(t * np.logaddexp(0, z) + (1 - t) * np.logaddexp(0, -z)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_scipy_minimize_on_the_smoothed_nll(self, seed):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 200))
+        pos = rng.random(n) < rng.uniform(0.1, 0.9)
+        pos[:2] = True, False
+        s = rng.normal(size=n) * rng.uniform(0.1, 5) + pos * rng.uniform(0, 3)
+        n_pos, n_neg = pos.sum(), (~pos).sum()
+        t = np.where(pos, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
+
+        def grad(params):
+            r = t - 1.0 / (1.0 + np.exp(params[0] * s + params[1]))
+            return np.array([np.sum(s * r), np.sum(r)])
+
+        best = optimize.minimize(lambda params: self._smoothed_nll(params, s, t), [0.0, 0.0],
+                                 jac=grad, method="BFGS", options={"gtol": 1e-10})
+        a, c, _ = platt_fit_binary(s, pos)
+        # no worse than scipy's minimum; its parameters are the less precise
+        assert self._smoothed_nll([a, c], s, t) <= best.fun * (1 + 1e-12)
+        assert np.allclose([a, c], best.x, rtol=1e-6, atol=1e-6)
+
 
 class TestThreshold:
     def test_hand_example_flips_argmax(self):
@@ -267,6 +298,20 @@ class TestNem:
         ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplars=exemplar_table({0: np.zeros((1, 2))}))
         with pytest.raises(ConfigurationError):
             fit_nem(ctx)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_scipy_cdist(self, seed):
+        distance = pytest.importorskip("scipy.spatial.distance")
+        rng = np.random.default_rng(seed)
+        n, num_classes, dim = (int(v) for v in rng.integers(1, [150, 12, 20]))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        means = rng.normal(size=(num_classes, dim)) * scale
+        features = rng.normal(size=(n, dim)) * scale
+        out = apply_nem(CalibratorState("nem", {"means": means}), features)
+        dist = distance.cdist(features, means)
+        assert np.allclose(out, 1.0 / (dist + NEM_EPSILON), rtol=1e-12, atol=0)
+        assert np.array_equal(predict(out), dist.argmin(axis=1))
 
 
 class TestBalanced:

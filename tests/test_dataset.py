@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,6 +263,197 @@ class TestFeatureFiles:
         m.write_text('{"dim": 2, "classes": 2, "name": "t"}')
         with pytest.raises(FormatError, match=r"x\.csv: line 3: non-finite"):
             load_features(f, m)
+
+
+def _arrays(table):
+    return table.features.tobytes(), table.labels.tobytes(), table.splits.tobytes()
+
+
+class TestSidecar:
+    """``<csv>.cache.npz`` holds a parse keyed by the CSV's SHA-256."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        f, m = tmp_path / "x.csv", tmp_path / "x.json"
+        save_features(generate_synthetic(3, 4, 6, 5.0, 1.0, seed=8, test_per_class=2), f, m)
+        return f, m
+
+    @staticmethod
+    def sidecar(f):
+        return f.parent / (f.name + ".cache.npz")
+
+    @staticmethod
+    def count_parses(monkeypatch):
+        calls = []
+        read_rows = dataset.read_rows
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return read_rows(*args, **kwargs)
+
+        monkeypatch.setattr(dataset, "read_rows", counted)
+        return calls
+
+    def test_hit_equals_parse_bitwise(self, paths, monkeypatch):
+        parsed = load_features(*paths)
+        assert self.sidecar(paths[0]).is_file()
+        parses = self.count_parses(monkeypatch)
+        hit = load_features(*paths)
+        assert parses == []
+        assert _arrays(hit) == _arrays(parsed)
+        assert hit.splits.dtype == parsed.splits.dtype
+
+    def test_one_changed_byte_forces_a_parse(self, paths, monkeypatch):
+        f, m = paths
+        load_features(f, m)
+        data = bytearray(f.read_bytes())
+        i = data.index(b"\r\n", data.index(b"\n") + 1) - 1  # last digit of line 2
+        data[i] = ord("1") if data[i] != ord("1") else ord("2")
+        f.write_bytes(bytes(data))
+        changed = dataset._parse_features(f, 4, 3)
+        parses = self.count_parses(monkeypatch)
+        assert _arrays(load_features(f, m)) == _arrays(changed)
+        assert parses == [1]
+        # the rewritten sidecar holds the changed CSV
+        assert _arrays(load_features(f, m)) == _arrays(changed)
+        assert parses == [1]
+
+    def test_truncated_sidecar_is_parsed_again_and_rewritten(self, paths, monkeypatch):
+        parsed = load_features(*paths)
+        side = self.sidecar(paths[0])
+        whole = side.read_bytes()
+        side.write_bytes(whole[: len(whole) // 2])
+        parses = self.count_parses(monkeypatch)
+        assert _arrays(load_features(*paths)) == _arrays(parsed)
+        assert parses == [1]
+        assert side.read_bytes() == whole
+        assert _arrays(load_features(*paths)) == _arrays(parsed)
+        assert parses == [1]
+
+    @pytest.mark.parametrize("fault", [
+        "format", "label out of range", "negative label", "split code", "nan", "float32",
+        "short row", "no rows", "no train record", "pickled",
+    ])
+    def test_a_keyed_sidecar_failing_a_check_is_parsed_again(self, paths, monkeypatch, fault):
+        parsed = load_features(*paths)
+        side = self.sidecar(paths[0])
+        with np.load(side) as npz:
+            arrays = dict(npz)
+        labels, feats = arrays["labels"].copy(), arrays["features"].copy()
+        if fault == "format":
+            arrays["format"] = np.int64(dataset.SIDECAR_FORMAT + 1)
+        elif fault in ("label out of range", "negative label"):
+            labels[0] = 3 if fault == "label out of range" else -1
+            arrays["labels"] = labels
+        elif fault == "split code":
+            arrays["splits"] = np.full_like(arrays["splits"], len(dataset.SPLITS))
+        elif fault == "nan":
+            feats[0, 0] = np.nan
+            arrays["features"] = feats
+        elif fault == "float32":
+            arrays["features"] = feats.astype(np.float32)
+        elif fault == "short row":
+            arrays["features"] = feats[:, :-1]
+        elif fault == "no rows":
+            arrays.update(features=feats[:0], labels=labels[:0], splits=arrays["splits"][:0])
+        elif fault == "no train record":
+            arrays["splits"] = np.where(labels == 2, 2, arrays["splits"]).astype(np.uint8)
+        else:
+            arrays["labels"] = labels.astype(object)
+        np.savez(side, **arrays, allow_pickle=True)
+        parses = self.count_parses(monkeypatch)
+        assert _arrays(load_features(*paths)) == _arrays(parsed)
+        assert parses == [1]
+
+    def test_keyed_sidecar_with_a_label_out_of_range_gives_the_parse_error(self, paths):
+        f, m = paths
+        lines = f.read_text().splitlines()
+        lines[-1] = "2" + lines[-1][1:]
+        f.write_text("\n".join(lines) + "\n")
+        m.write_text('{"dim": 4, "classes": 4, "name": "t"}')
+        load_features(f, m)
+        assert self.sidecar(f).is_file()
+        m.write_text('{"dim": 4, "classes": 2, "name": "t"}')
+        with pytest.raises(FormatError) as refused:
+            load_features(f, m)
+        self.sidecar(f).unlink()
+        with pytest.raises(FormatError) as parsed:
+            load_features(f, m)
+        assert str(refused.value) == str(parsed.value)
+        assert "label 2 out of [0, 2)" in str(parsed.value)
+
+    def test_a_refused_csv_leaves_no_sidecar(self, paths, tmp_path):
+        load_features(*paths)
+        assert self.sidecar(paths[0]).is_file()
+        bad = tmp_path / "bad.csv"
+        bad.write_text(paths[0].read_text().replace("train", "dev", 1))
+        with pytest.raises(FormatError, match="unknown split tag"):
+            load_features(bad, paths[1])
+        assert not self.sidecar(bad).exists()
+
+    @pytest.mark.parametrize("target", ["tempfile.mkstemp", "numpy.savez", "os.replace"])
+    def test_a_failed_write_returns_the_table_and_leaves_no_file(
+        self, paths, tmp_path, monkeypatch, target
+    ):
+        expected = _arrays(dataset._parse_features(paths[0], 4, 3))
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(target, failing)
+        assert _arrays(load_features(*paths)) == expected
+        assert calls == [1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.json"]
+
+    def test_a_csv_rewritten_during_the_parse_gets_no_sidecar(self, paths, monkeypatch):
+        f, m = paths
+        parse = dataset._parse_features
+
+        def rewriting(*args):
+            table = parse(*args)
+            f.write_text(f.read_text() + "0,test,1,2,3,4\n")
+            return table
+
+        monkeypatch.setattr(dataset, "_parse_features", rewriting)
+        load_features(f, m)
+        assert not self.sidecar(f).exists()
+        monkeypatch.undo()
+        load_features(f, m)
+        assert self.sidecar(f).is_file()
+
+    def test_importing_imbcal_loads_no_hashlib(self):
+        # hashlib loads OpenSSL, a few MB of peak RSS that synthetic runs skip
+        code = "import sys, imbcal.cli; print('hashlib' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
+
+    def test_a_fifo_is_parsed_and_gets_no_sidecar(self, paths, tmp_path):
+        f, m = paths
+        text = f.read_text()
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "w") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        result = []
+        reader = threading.Thread(
+            target=lambda: result.append(load_features(fifo, m)), daemon=True
+        )
+        reader.start()
+        reader.join(30)
+        assert result, "load_features did not return: the pipe was read twice"
+        writer.join(30)
+        assert _arrays(result[0]) == _arrays(load_features(f, m))
+        assert not self.sidecar(fifo).exists()
+        assert self.sidecar(f).is_file()
 
 
 @settings(max_examples=25, deadline=None)

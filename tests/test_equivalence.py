@@ -801,6 +801,9 @@ def test_load_features_is_bitwise_equal_to_the_csv_loop(width, data, newline, fi
         expected = _outcome(oracle_load_features, *paths)
         assert expected[0] == "ok"
         assert _outcome(load_features, *paths) == expected
+        # the second load reads the sidecar the first one wrote
+        assert Path(f"{paths[0]}.cache.npz").is_file()
+        assert _outcome(load_features, *paths) == expected
 
 
 @settings(max_examples=150, deadline=None)

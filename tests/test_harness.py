@@ -393,6 +393,32 @@ class TestConfig:
         })
         assert f"ece_bins must be >= 1, got {bins}" in err
 
+    @staticmethod
+    def _no_data(monkeypatch):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was built")
+
+        monkeypatch.setattr("imbcal.dataset.generate_synthetic", no_data)
+        monkeypatch.setattr("imbcal.dataset.load_features", no_data)
+
+    @pytest.mark.parametrize("data", [SYNTHETIC, FEATURES], ids=["synthetic", "features"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("imbalance", "medium", "imbalance must be one of none, soft, strong, got 'medium'"),
+        ("imbalance", "Strong", "imbalance must be one of none, soft, strong, got 'Strong'"),
+        ("val_fraction", 1.5, "val_fraction must be in (0, 1), got 1.5"),
+        ("val_fraction", 1, "val_fraction must be in (0, 1), got 1.0"),
+        ("val_fraction", 0, "val_fraction must be in (0, 1), got 0.0"),
+        ("val_fraction", -0.25, "val_fraction must be in (0, 1), got -0.25"),
+    ])
+    def test_imbalance_and_val_fraction_refused_before_data_is_built(
+        self, tmp_path, capsys, monkeypatch, data, key, value, message
+    ):
+        self._no_data(monkeypatch)
+        err = self._refused(tmp_path, capsys, {
+            "num_states": 2, "memory": 8, key: value, "data": data,
+        })
+        assert message in err
+
     @pytest.mark.parametrize("order, message", [
         ([0, 1.9, 2, 3], "class_order entries must be JSON integers, got 1.9"),
         ([True, False, 2, 3], "class_order entries must be JSON integers, got True"),
