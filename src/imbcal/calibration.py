@@ -40,6 +40,8 @@ NEM_EPSILON = 1e-12
 NEM_CHUNK_ROWS = 64
 PLATT_MAX_ITER = 100
 PLATT_GRAD_TOL = 1e-9
+# scores per block of classes that fit_platt fits in lockstep
+PLATT_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -174,20 +176,22 @@ def _pool(values, weights, floor):
     return levels[1:], counts[1:]
 
 
-def fit_step_map(scores, targets):
+def fit_step_map(scores, positive):
     """Isotonic step map for one class: (boundaries, levels).
 
-    Equal scores are pooled first (a step function cannot separate them);
-    boundaries are midpoints between adjacent distinct scores where the
-    fitted level changes.
+    ``positive`` is the boolean mask of the class's samples. Equal scores
+    are pooled first (a step function cannot separate them), each group's
+    target being its share of positives; boundaries are midpoints between
+    adjacent distinct scores where the fitted level changes.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    order = np.argsort(scores, kind="stable")
-    xs, ys = scores[order], targets[order]
+    positive = np.asarray(positive, dtype=bool)
+    xs = np.sort(scores)
     start = np.flatnonzero(np.append(True, xs[1:] != xs[:-1]))
     ux = xs[start]
-    pooled = np.add.reduceat(ys, start)
+    # -0.0 and 0.0 compare equal, so whichever np.sort puts first stands
+    # for both, and searchsorted finds the group of either
+    pooled = np.bincount(np.searchsorted(ux, scores[positive]), minlength=len(ux))
     counts = np.diff(np.append(start, len(xs)))
     fitted = pava(pooled / counts, counts)
 
@@ -207,12 +211,12 @@ def fit_isotonic(ctx):
     n, num_classes = ctx.train_scores.shape
     boundaries, levels = {}, {}
     for c in range(num_classes):
-        targets = (ctx.train_labels == c).astype(np.float64)
-        positives = targets.sum()
+        positive = ctx.train_labels == c
+        positives = positive.sum()
         if positives == 0 or positives == n:
             warnings.warn(f"class {c}: no score overlap to fit; keeping identity map")
             continue
-        b, l = fit_step_map(ctx.train_scores[:, c], targets)
+        b, l = fit_step_map(ctx.train_scores[:, c], positive)
         boundaries[c] = b
         levels[c] = l
     return CalibratorState("iso", {"boundaries": boundaries, "levels": levels})
@@ -230,71 +234,129 @@ def apply_isotonic(state, scores):
 # Platt scaling
 
 
-def _platt_nll(s, t, a, c):
-    """Negative log-likelihood at (a, c), and the unclipped probabilities."""
-    z = np.clip(a * s + c, -500, 500)
-    p = 1.0 / (1.0 + np.exp(z))
+def _platt_nll(s, t, u, a, c):
+    """Each row's negative log-likelihood at (a, c), and the unclipped
+    probabilities: ``s`` and ``t`` hold one class per row, ``u`` is 1 - t."""
+    z = a[:, None] * s
+    z += c[:, None]
+    np.clip(z, -500, 500, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    p = np.divide(1.0, z, out=z)
     q = np.clip(p, 1e-15, 1 - 1e-15)
-    return float(-(t * np.log(q) + (1 - t) * np.log(1 - q)).sum()), p
+    lq = np.log(q)
+    lq *= t
+    np.subtract(1, q, out=q)
+    np.log(q, out=q)
+    q *= u
+    lq += q
+    return -lq.sum(axis=1), p
 
 
-def platt_fit_binary(scores, positive_mask):
-    """Maximum-likelihood sigmoid fit with Platt's target smoothing.
+def _platt_block(s, pos):
+    """Platt fits of the classes in the rows of ``s``, in lockstep.
 
-    Newton-Raphson with backtracking, at most PLATT_MAX_ITER iterations;
-    returns (A, C, converged), keeping the best iterate on
-    non-convergence. Each iterate's likelihood is evaluated once: the line
-    search's last evaluation is the next iteration's starting point.
+    Row k of ``s`` holds the scores and row k of ``pos`` the positives of
+    one class. Each row gets exactly the operations of a one-class fit:
+    elementwise maths, and sums along axis 1, each of which adds one row
+    as the 1-D sum of that row does. The line search re-evaluates only the
+    rows still searching, and a row leaves the iteration once it converges
+    or its Hessian is singular. Returns (A, C, converged) per row.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    pos = np.asarray(positive_mask, dtype=bool)
-    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise ParameterError("need at least one positive and one negative sample")
-    t = np.where(pos, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
+    n_pos = pos.sum(axis=1)
+    n_neg = pos.shape[1] - n_pos
+    t = np.where(pos, ((n_pos + 1.0) / (n_pos + 2.0))[:, None], (1.0 / (n_neg + 2.0))[:, None])
+    u = 1 - t
     ss = s * s
 
-    a, c = 0.0, float(np.log((n_neg + 1.0) / (n_pos + 1.0)))
-    current, p = _platt_nll(s, t, a, c)
-    best = (current, a, c)
-    converged = False
+    a = np.zeros(len(s))
+    c = np.log((n_neg + 1.0) / (n_pos + 1.0))
+    current, p = _platt_nll(s, t, u, a, c)
+    best_nll, best_a, best_c = current.copy(), a.copy(), c.copy()
+    converged = np.zeros(len(s), dtype=bool)
+    live = np.arange(len(s))  # the block rows still iterating
     for _ in range(PLATT_MAX_ITER):
         residual = t - p
-        grad = np.array([np.sum(s * residual), np.sum(residual)])
-        if np.abs(grad).max() < PLATT_GRAD_TOL:
-            converged = True
-            break
-        w = p * (1.0 - p)
-        sw = np.sum(s * w)
-        hess = np.array([[np.sum(ss * w), sw], [sw, np.sum(w)]]) + 1e-12 * np.eye(2)
-        try:
-            delta = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            break
-        step = 1.0
-        for _ in range(30):
-            a2, c2 = a - step * delta[0], c - step * delta[1]
-            nll, p = _platt_nll(s, t, a2, c2)
-            if nll <= current + 1e-12:
+        grad = np.stack([(s * residual).sum(axis=1), residual.sum(axis=1)], axis=1)
+        done = np.abs(grad).max(axis=1) < PLATT_GRAD_TOL
+        if done.any():
+            # a converged fit keeps its last iterate, not its best one
+            converged[live[done]] = True
+            best_a[live[done]], best_c[live[done]] = a[done], c[done]
+            keep = ~done
+            live, s, t, u, ss, p, a, c, current, grad = (
+                x[keep] for x in (live, s, t, u, ss, p, a, c, current, grad)
+            )
+            if not len(live):
                 break
-            step /= 2.0
+        w = p * (1.0 - p)
+        sw = (s * w).sum(axis=1)
+        hess = np.stack([(ss * w).sum(axis=1), sw, sw, w.sum(axis=1)], axis=1)
+        hess = hess.reshape(-1, 2, 2) + 1e-12 * np.eye(2)
+        try:
+            delta = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # one singular Hessian fails the stacked solve: solve each
+            # alone, and retire the rows whose own solve fails
+            delta = np.zeros_like(grad)
+            solved = np.ones(len(live), dtype=bool)
+            for k in range(len(live)):
+                try:
+                    delta[k] = np.linalg.solve(hess[k], grad[k])
+                except np.linalg.LinAlgError:
+                    solved[k] = False
+            live, s, t, u, ss, p, a, c, current, delta = (
+                x[solved] for x in (live, s, t, u, ss, p, a, c, current, delta)
+            )
+            if not len(live):
+                break
+        step = np.ones(len(live))
+        a2, c2, nll = np.empty_like(a), np.empty_like(c), np.empty_like(current)
+        rows = np.arange(len(live))  # the rows still searching
+        for _ in range(30):
+            # while every row searches, take views rather than copies
+            part = rows if len(rows) < len(live) else slice(None)
+            a2[part] = a[part] - step[part] * delta[part, 0]
+            c2[part] = c[part] - step[part] * delta[part, 1]
+            nll[part], p[part] = _platt_nll(s[part], t[part], u[part], a2[part], c2[part])
+            rows = rows[~(nll[part] <= current[part] + 1e-12)]
+            if not len(rows):
+                break
+            step[rows] /= 2.0
         a, c, current = a2, c2, nll
-        if nll < best[0]:
-            best = (nll, a, c)
-    if not converged:
-        _, a, c = best
-    return a, c, converged
+        better = nll < best_nll[live]
+        best_nll[live[better]] = nll[better]
+        best_a[live[better]], best_c[live[better]] = a[better], c[better]
+    return best_a, best_c, converged
 
 
 def fit_platt(ctx):
-    """Per-class one-vs-all Platt parameters (A, C) on the training scores."""
+    """Per-class one-vs-all Platt parameters (A, C) on the training scores.
+
+    Maximum-likelihood sigmoid fits with Platt's target smoothing, by
+    Newton-Raphson with backtracking, at most PLATT_MAX_ITER iterations;
+    each iterate's likelihood is evaluated once, and a fit that does not
+    converge keeps its best iterate. The classes go through
+    ``_platt_block`` in blocks of at most PLATT_BLOCK_ELEMENTS scores, so
+    each block's arrays stay in cache, with the same bits as one fit per
+    class.
+    """
     n, num_classes = ctx.train_scores.shape
+    pos = ctx.train_labels == np.arange(num_classes)[:, None]
+    n_pos = pos.sum(axis=1)
+    one_sided = np.flatnonzero((n_pos == 0) | (n_pos == n))
+    if len(one_sided):
+        raise ParameterError(
+            f"class {one_sided[0]}: need at least one positive and one negative sample"
+        )
     a = np.zeros(num_classes)
     c = np.zeros(num_classes)
     converged = np.zeros(num_classes, dtype=bool)
-    for cls in range(num_classes):
-        pos = ctx.train_labels == cls
-        a[cls], c[cls], converged[cls] = platt_fit_binary(ctx.train_scores[:, cls], pos)
+    block = max(1, PLATT_BLOCK_ELEMENTS // n)
+    for lo in range(0, num_classes, block):
+        rows = slice(lo, lo + block)
+        scores = np.ascontiguousarray(ctx.train_scores[:, rows].T)
+        a[rows], c[rows], converged[rows] = _platt_block(scores, pos[rows])
     state = CalibratorState("pl", {"A": a, "C": c})
     state.flags["converged"] = converged
     return state

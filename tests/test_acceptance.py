@@ -78,7 +78,7 @@ def test_2_isotonic_fit_is_least_squares_optimal():
     assert fitted.tolist() == [0.1, 0.2, 0.8, 0.9]
     pooled = pava([0.3, 0.7, 0.5])
     assert pooled.tolist() == pytest.approx([0.3, 0.6, 0.6])
-    b, l = fit_step_map([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1])
+    b, l = fit_step_map([0.1, 0.2, 0.8, 0.9], [False, False, True, True])
     assert b.tolist() == [0.5] and l.tolist() == [0.0, 1.0]
 
     rng = np.random.default_rng(7)

@@ -27,7 +27,6 @@ from imbcal.calibration import (
     fit_step_map,
     fit_threshold,
     pava,
-    platt_fit_binary,
     predict,
 )
 from imbcal.dataset import DatasetTable
@@ -54,6 +53,13 @@ def make_ctx(train_scores, train_labels, val_scores=None, val_labels=None,
         new_classes=tuple(new),
         **kw,
     )
+
+
+def platt_fit(scores, positive):
+    """pl's (A, C, converged) for the class whose samples ``positive`` marks."""
+    scores = np.asarray(scores, dtype=np.float64)
+    state = fit_platt(make_ctx(np.column_stack([scores, scores]), np.where(positive, 0, 1)))
+    return state.params["A"][0], state.params["C"][0], state.flags["converged"][0]
 
 
 def exemplar_table(per_class):
@@ -117,22 +123,22 @@ class TestPava:
 
 class TestStepMap:
     def test_separable_labels(self):
-        b, l = fit_step_map([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1])
+        b, l = fit_step_map([0.1, 0.2, 0.8, 0.9], [False, False, True, True])
         assert b.tolist() == [0.5]
         assert l.tolist() == [0.0, 1.0]
 
     def test_inverted_pair_pools(self):
-        b, l = fit_step_map([0.3, 0.7], [1, 0])
+        b, l = fit_step_map([0.3, 0.7], [True, False])
         assert b.tolist() == []
         assert l.tolist() == [0.5]
 
     def test_duplicate_scores_share_a_level(self):
-        b, l = fit_step_map([0.5, 0.5, 0.9], [0, 1, 1])
+        b, l = fit_step_map([0.5, 0.5, 0.9], [False, True, True])
         out = apply_step_map(b, l, np.array([0.5, 0.5]))
         assert out[0] == out[1]
 
     def test_apply_is_right_continuous_step(self):
-        b, l = fit_step_map([0.0, 1.0], [0, 1])
+        b, l = fit_step_map([0.0, 1.0], [False, True])
         assert apply_step_map(b, l, np.array([0.49, 0.51])).tolist() == [0.0, 1.0]
 
 
@@ -168,7 +174,7 @@ class TestIsotonic:
 class TestPlatt:
     def test_symmetric_case_crosses_half_at_zero(self):
         s = np.array([-2.0, -1.0, 1.0, 2.0])
-        a, c, _ = platt_fit_binary(s, np.array([False, False, True, True]))
+        a, c, _ = platt_fit(s, np.array([False, False, True, True]))
         p0 = 1.0 / (1.0 + np.exp(a * 0.0 + c))
         assert p0 == pytest.approx(0.5, abs=1e-6)
 
@@ -176,21 +182,21 @@ class TestPlatt:
         rng = np.random.default_rng(5)
         s = rng.normal(size=200)
         labels = rng.integers(0, 2, size=200).astype(bool)
-        a, _, _ = platt_fit_binary(s, labels)
+        a, _, _ = platt_fit(s, labels)
         assert abs(a) < 0.5
 
     def test_calibrated_probability_monotone_in_score(self):
         s = np.concatenate([np.random.default_rng(1).normal(-2, 1, 30),
                             np.random.default_rng(2).normal(2, 1, 30)])
         pos = np.concatenate([np.zeros(30, bool), np.ones(30, bool)])
-        a, c, _ = platt_fit_binary(s, pos)
+        a, c, _ = platt_fit(s, pos)
         grid = np.linspace(-5, 5, 40)
         p = 1.0 / (1.0 + np.exp(a * grid + c))
         assert np.all(np.diff(p) >= 0)
 
     def test_single_class_rejected(self):
-        with pytest.raises(ParameterError):
-            platt_fit_binary(np.array([1.0, 2.0]), np.array([True, True]))
+        with pytest.raises(ParameterError, match="class 0: need at least one positive"):
+            platt_fit(np.array([1.0, 2.0]), np.array([True, True]))
 
     def test_fit_and_apply_shape(self):
         rng = np.random.default_rng(3)
@@ -225,7 +231,7 @@ class TestPlatt:
 
         best = optimize.minimize(lambda params: self._smoothed_nll(params, s, t), [0.0, 0.0],
                                  jac=grad, method="BFGS", options={"gtol": 1e-10})
-        a, c, _ = platt_fit_binary(s, pos)
+        a, c, _ = platt_fit(s, pos)
         # no worse than scipy's minimum; its parameters are the less precise
         assert self._smoothed_nll([a, c], s, t) <= best.fun * (1 + 1e-12)
         assert np.allclose([a, c], best.x, rtol=1e-6, atol=1e-6)

@@ -1,8 +1,9 @@
 """The fast kernels against the straightforward loops they replaced.
 
 Each oracle below is the plain implementation the fast one replaced:
-list-based PAVA, Platt's Newton fit that re-evaluates the likelihood at
-every step, the scalar Fisher-Jenks DP, nem's full (n, N, d) difference
+list-based PAVA, Platt's one-class Newton fit that re-evaluates the
+likelihood at every step (the fast fit runs blocks of classes in
+lockstep), the scalar Fisher-Jenks DP, nem's full (n, N, d) difference
 tensor, herding that orders every row of a class, SGD that takes the
 softmax and the loss with an exp each, the feature and score CSV
 loaders that call ``float`` on each ``csv.reader`` cell, and the th and
@@ -20,15 +21,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imbcal import dataset, memory, rng
+from imbcal import calibration, dataset, memory, rng
 from imbcal.backbone import PLATEAU_TOL, LinearModel, TrainConfig, extend_model, softmax, train
 from imbcal.breaks import _check, _result, fisher_jenks
 from imbcal.calibration import (
     NEM_CHUNK_ROWS,
     NEM_EPSILON,
+    PLATT_BLOCK_ELEMENTS,
     PLATT_GRAD_TOL,
     PLATT_MAX_ITER,
     CalibContext,
@@ -37,10 +39,10 @@ from imbcal.calibration import (
     apply_nem,
     apply_threshold,
     fit_mb,
-    fit_threshold,
+    fit_platt,
     fit_step_map,
+    fit_threshold,
     pava,
-    platt_fit_binary,
 )
 from imbcal.cli import _read_scores, main
 from imbcal.dataset import SPLITS, TRAIN, DatasetTable, load_features
@@ -413,13 +415,18 @@ def test_pava_reruns_when_a_rounded_mean_crosses_a_trimmed_value(mirrored):
     st.lists(st.tuples(st.floats(-5, 5), st.booleans()), min_size=1, max_size=120),
     st.booleans(),
 )
+# -0.0 and 0.0 tie, in whichever order np.sort leaves them
+@example([(0.0, True), (-0.0, False), (1.0, True), (-0.0, True), (-1.0, False), (0.0, False)],
+         False)
+@example([(0.7, True), (0.7, False), (0.7, False)], False)  # every score equal
+@example([(0.1, False), (0.4, True), (0.3, False), (0.9, False)], False)  # one positive
 def test_fit_step_map_is_bitwise_equal(pairs, rounded):
     scores = np.array([s for s, _ in pairs])
     if rounded:  # many equal scores
         scores = np.round(scores, 0)
-    targets = np.array([float(y) for _, y in pairs])
-    b, l = fit_step_map(scores, targets)
-    ob, ol = oracle_fit_step_map(scores, targets)
+    positive = np.array([y for _, y in pairs], dtype=bool)
+    b, l = fit_step_map(scores, positive)
+    ob, ol = oracle_fit_step_map(scores, positive.astype(np.float64))
     assert _same(b, ob) and _same(l, ol)
 
 
@@ -430,6 +437,25 @@ def test_fit_step_map_is_bitwise_equal(pairs, rounded):
 def _platt_bytes(result):
     a, c, converged = result
     return np.float64(a).tobytes(), np.float64(c).tobytes(), bool(converged)
+
+
+def _assert_platt_matches_oracle(scores, labels):
+    """fit_platt on the (n, N) scores equals oracle_platt on each column."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    num_classes = scores.shape[1]
+    ctx = CalibContext(scores, labels, scores, labels,
+                       np.bincount(labels, minlength=num_classes), (), tuple(range(num_classes)))
+    state = fit_platt(ctx)
+    fitted = zip(state.params["A"], state.params["C"], state.flags["converged"])
+    for c, result in enumerate(fitted):
+        assert _platt_bytes(result) == _platt_bytes(oracle_platt(scores[:, c], labels == c)), c
+    return state
+
+
+def _one_class(scores, pos):
+    """A two-class problem whose class 0 is the samples in ``pos``."""
+    return np.column_stack([scores, scores]), np.where(pos, 0, 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -443,7 +469,7 @@ def test_platt_is_bitwise_equal(pairs, scale, offset):
     pos = np.array([y for _, y in pairs])
     if pos.all() or not pos.any():
         pos[0] = not pos[0]
-    assert _platt_bytes(platt_fit_binary(scores, pos)) == _platt_bytes(oracle_platt(scores, pos))
+    _assert_platt_matches_oracle(*_one_class(scores, pos))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -453,9 +479,82 @@ def test_platt_non_converged_fits_match(seed):
     rng = np.random.default_rng(seed)
     scores = rng.normal(size=40) + 1e8
     pos = np.arange(40) % 3 == 0
-    result = platt_fit_binary(scores, pos)
-    assert result[2] is False
-    assert _platt_bytes(result) == _platt_bytes(oracle_platt(scores, pos))
+    state = _assert_platt_matches_oracle(*_one_class(scores, pos))
+    assert not state.flags["converged"][0]
+
+
+def _stalled_line_search_case():
+    # TestPlatt.test_matches_scipy_minimize_on_the_smoothed_nll's generator
+    # at this seed: 170 ordinary scores whose line search stalls on NLL
+    # rounding noise, so the fit ends on its best iterate, not converged
+    rng = np.random.default_rng(2539917923)
+    n = int(rng.integers(4, 200))
+    pos = rng.random(n) < rng.uniform(0.1, 0.9)
+    pos[:2] = True, False
+    return rng.normal(size=n) * rng.uniform(0.1, 5) + pos * rng.uniform(0, 3), pos
+
+
+@st.composite
+def platt_problems(draw):
+    """(scores, labels, block): every class has a positive and a negative."""
+    num_classes = draw(st.integers(2, 8))
+    n = draw(st.integers(num_classes + 1, 120))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    labels = np.concatenate([np.arange(num_classes), rng.integers(0, num_classes, n - num_classes)])
+    rng.shuffle(labels)
+    scores = rng.normal(size=(n, num_classes)) * draw(st.sampled_from([0.5, 3.0, 30.0]))
+    scores += (labels[:, None] == np.arange(num_classes)) * draw(st.sampled_from([0.0, 1.0, 4.0]))
+    scores += draw(st.sampled_from([0.0, 0.0, 1e8]))  # 1e8: Newton does not converge
+    # scores per block, from one class per block to all of them in one
+    block = draw(st.integers(1, n * num_classes))
+    return scores, labels, block
+
+
+@settings(max_examples=60, deadline=None)
+@given(platt_problems())
+def test_fit_platt_blocks_are_bitwise_equal_to_one_class_fits(problem):
+    scores, labels, block = problem
+    with mock.patch.object(calibration, "PLATT_BLOCK_ELEMENTS", block):
+        _assert_platt_matches_oracle(scores, labels)
+
+
+def test_fit_platt_block_keeps_the_stalled_line_search_bits():
+    # the stalled class shares its block with two ordinary ones
+    s, pos = _stalled_line_search_case()
+    rng = np.random.default_rng(0)
+    labels = np.where(pos, 0, 1 + (rng.random(len(s)) < 0.5))
+    scores = np.column_stack([s, rng.normal(size=len(s)), s[::-1]])
+    state = _assert_platt_matches_oracle(scores, labels)
+    assert not state.flags["converged"][0]
+
+
+def test_fit_platt_over_numpy_buffer_size_rows():
+    # 9000 rows, more than numpy's 8192-element buffer: each row sum must
+    # still add the way a 1-D sum does; five classes make two blocks
+    n = 9000
+    assert PLATT_BLOCK_ELEMENTS // n < 5
+    rng = np.random.default_rng(7)
+    labels = rng.integers(0, 5, n)
+    scores = rng.normal(size=(n, 5)) + (labels[:, None] == np.arange(5))
+    scores[:, 4] += 1e8
+    _assert_platt_matches_oracle(scores, labels)
+
+
+def test_fit_platt_retires_only_the_singular_fit_of_a_block():
+    # class 0's scores are all 1.0 and its Hessian weight exceeds 2**14, so
+    # the 1e-12 ridge rounds away and LAPACK finds its Hessian singular: the
+    # oracle stops that fit at its first iterate (A = 0). The block's other
+    # fits, which share the failed stacked solve, must run on unchanged.
+    n = 70_000
+    rng = np.random.default_rng(0)
+    labels = np.repeat([0, 1, 2], [42_000, 14_000, 14_000])
+    scores = rng.normal(size=(n, 3)) + (labels[:, None] == np.arange(3))
+    scores[:, 0] = 1.0
+    with mock.patch.object(calibration, "PLATT_BLOCK_ELEMENTS", 3 * n):
+        state = _assert_platt_matches_oracle(scores, labels)
+    assert not state.flags["converged"][0] and state.params["A"][0] == 0.0
+    assert np.all(state.params["A"][1:] != 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -503,6 +503,14 @@ class TestCli:
         assert f"{option}: class ids must be comma-separated integers" in err
         assert "Traceback" not in err
 
+    def test_calibrate_pl_names_the_class_without_rows(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,s0,s1,s2\n0,2.0,1.0,0.5\n1,1.0,2.0,0.5\n")
+        assert main(["calibrate", "--method", "pl", "--scores", str(scores)]) == 2
+        err = capsys.readouterr().err
+        assert "class 2: need at least one positive and one negative sample" in err
+        assert "Traceback" not in err
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["run", "--bogus"])
