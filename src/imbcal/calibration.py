@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backbone
+from . import backbone, memory
 from .breaks import fisher_jenks
 from .dataset import DatasetTable
 from .errors import ConfigurationError, ParameterError
@@ -60,8 +60,8 @@ class CalibContext:
     class_counts: np.ndarray  # (N,)
     old_classes: tuple
     new_classes: tuple
-    exemplars: DatasetTable | None = None  # the memory, class by class in herded order
-    memory_capacity: int | None = None
+    table: DatasetTable | None = None  # the run's relabeled table
+    buffer: memory.MemoryBuffer | None = None  # the exemplar memory: row ids into table
 
     @property
     def num_classes(self):
@@ -397,8 +397,10 @@ apply_threshold = apply_mb = apply_fj = apply_factors
 
 
 def _exemplar_rows(ctx):
-    """Each class's row ids into ``ctx.exemplars``, in herded order."""
-    rows = [np.flatnonzero(ctx.exemplars.labels == c) for c in range(ctx.num_classes)]
+    """Each class's row ids into ``ctx.table`` from the memory, in herded order."""
+    if ctx.table is None or ctx.buffer is None:
+        raise ConfigurationError("nem and bal need the exemplar memory")
+    rows = [ctx.buffer.classes.get(c, ()) for c in range(ctx.num_classes)]
     for c, r in enumerate(rows):
         if len(r) == 0:
             raise ConfigurationError(f"class {c} has no exemplars in memory")
@@ -407,9 +409,7 @@ def _exemplar_rows(ctx):
 
 def fit_nem(ctx):
     """Per-class exemplar means, computed after exemplar selection."""
-    if ctx.exemplars is None:
-        raise ConfigurationError("nem needs the exemplar memory")
-    means = [ctx.exemplars.features[r].mean(axis=0) for r in _exemplar_rows(ctx)]
+    means = [ctx.table.features[r].mean(axis=0) for r in _exemplar_rows(ctx)]
     return CalibratorState("nem", {"means": np.vstack(means)})
 
 
@@ -436,11 +436,8 @@ def fit_balanced(ctx, model, config):
     Each class contributes its first floor(B / N) exemplars, or everything
     it has when fewer are stored.
     """
-    if ctx.exemplars is None or ctx.memory_capacity is None:
-        raise ConfigurationError("bal needs the exemplar memory and its capacity")
-    quota = ctx.memory_capacity // ctx.num_classes
-    rows = [r[:quota] for r in _exemplar_rows(ctx)]
-    retrained = backbone.train(model, ctx.exemplars.subset(np.concatenate(rows)), config)
+    rows = [r[:ctx.buffer.capacity // ctx.num_classes] for r in _exemplar_rows(ctx)]
+    retrained = backbone.train(model, ctx.table.subset(np.concatenate(rows)), config)
     state = CalibratorState("bal", {"weights": retrained.weights, "biases": retrained.biases})
     state.flags["per_class_used"] = {c: len(r) for c, r in enumerate(rows)}
     return state

@@ -101,6 +101,7 @@ def _read_scores(path):
 
 def _read_counts(path, num_classes):
     counts = np.zeros(num_classes)
+    listed = np.zeros(num_classes, dtype=bool)
     with dataset.open_text(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
@@ -113,9 +114,15 @@ def _read_counts(path, num_classes):
                 raise FormatError(f"{path}: line {lineno}: non-integer value") from None
             if not 0 <= c < num_classes:
                 raise FormatError(f"{path}: line {lineno}: class {c} out of range")
+            if listed[c]:
+                raise FormatError(f"{path}: line {lineno}: class {c} listed twice")
+            listed[c] = True
             counts[c] = n
-    if np.any(counts <= 0):
-        raise FormatError(f"{path}: every class needs a positive count")
+    bad = np.flatnonzero(counts <= 0)
+    if len(bad):
+        raise FormatError(
+            f"{path}: every class needs a positive count, class {bad[0]} has {counts[bad[0]]:g}"
+        )
     return counts
 
 
@@ -180,17 +187,18 @@ def _cmd_breaks(args):
 def _cmd_calibrate(args):
     scores, labels = _read_scores(args.scores)
     n_classes = scores.shape[1]
-    counts = None
+    # class priors only matter for th/fj; the others get uniform placeholders
+    counts = np.ones(n_classes)
     if args.method in ("th", "fj"):
         if args.counts is None:
             raise ParameterError(f"--counts is required for method {args.method}")
         counts = _read_counts(args.counts, n_classes)
-    if counts is None:
-        # class priors only matter for th/fj; use uniform placeholders
-        counts = np.ones(n_classes)
     if args.method == "mb":
         old = _parse_ids(args.old, n_classes, "old")
         new = _parse_ids(args.new, n_classes, "new")
+        shared = sorted(set(old) & set(new))
+        if shared:
+            raise ParameterError(f"--old and --new share class {shared[0]}")
     else:
         old, new = (), tuple(range(n_classes))
 

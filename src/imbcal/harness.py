@@ -231,61 +231,66 @@ def run_experiment(cfg):
     buffer = memory.MemoryBuffer.empty(cfg.memory)
     model = None
     reports = []
-    seen = 0
-    for k, batch_size in enumerate(plan.classes_per_state, start=1):
-        new_ids = range(seen, seen + batch_size)
-        seen += batch_size
-        model = backbone.extend_model(
-            model, batch_size, table.dim, derive_seed(cfg.model_seed, 1, k)
-        )
-        new_part = table.only(split=(dataset.TRAIN, dataset.VAL), classes=new_ids)
-        current = dataset.DatasetTable.concat([new_part, memory.memory_dataset(buffer, table)])
-        train_config = replace(cfg.train, seed=derive_seed(cfg.model_seed, 1000, k))
-        model = backbone.train(model, current, train_config)
-        buffer = memory.admit_and_rebalance(buffer, table, new_ids)
-
-        train_part = current.only(split=dataset.TRAIN)
-        val_part = current.only(split=dataset.VAL)
-        counts = np.bincount(train_part.labels, minlength=seen)
-        if np.any(counts == 0):
-            raise ConfigurationError(f"state {k}: a class has no train records")
-        ctx = calibration.CalibContext(
-            train_scores=backbone.scores(model, train_part.features),
-            train_labels=train_part.labels,
-            val_scores=backbone.scores(model, val_part.features),
-            val_labels=val_part.labels,
-            class_counts=counts,
-            old_classes=tuple(range(seen - batch_size)),
-            new_classes=tuple(range(seen - batch_size, seen)),
-            exemplars=memory.memory_dataset(buffer, table),
-            memory_capacity=cfg.memory,
-        )
-
-        test_part = table.only(split=dataset.TEST, classes=range(seen))
-        raw = backbone.scores(model, test_part.features)
-        bal_config = replace(cfg.train, seed=derive_seed(cfg.model_seed, 2000, k))
-        per_method = {}
-        for method in cfg.methods:
-            try:
-                calibrated = calibration.calibrate(
-                    method, ctx, raw, test_part.features, model, bal_config
-                )
-            except (ParameterError, ConfigurationError) as exc:
-                raise ConfigurationError(f"state {k}, method {method}: {exc}") from exc
-            preds = calibration.predict(calibrated)
-            per_method[method] = metrics.MethodResult(
-                top1=metrics.top1(preds, test_part.labels),
-                ece=metrics.ece(
-                    backbone.softmax(calibrated), preds, test_part.labels, cfg.ece_bins
-                ),
-            )
-        mu_old, mu_new = metrics.group_mean_scores(
-            ctx.val_scores, ctx.val_labels, ctx.old_classes, ctx.new_classes
-        )
-        reports.append(metrics.StateReport(k, mu_old, mu_new, per_method))
+    starts = seen_by_state - plan.classes_per_state
+    for k, (start, seen) in enumerate(zip(starts, seen_by_state), start=1):
+        model, buffer, report = _run_state(cfg, k, table, model, buffer, range(start, seen))
+        reports.append(report)
 
     summary = summarize(reports, cfg.methods)
     return reports, summary
+
+
+def _run_state(cfg, k, table, model, buffer, new_ids):
+    """State ``k``, which adds the classes ``new_ids``: (model, buffer, report).
+
+    The state's tables and score matrices live only in this call.
+    """
+    model = backbone.extend_model(model, len(new_ids), table.dim, derive_seed(cfg.model_seed, 1, k))
+    current = dataset.DatasetTable.concat([
+        table.only(split=(dataset.TRAIN, dataset.VAL), classes=new_ids),
+        memory.memory_dataset(buffer, table),
+    ])
+    train_config = replace(cfg.train, seed=derive_seed(cfg.model_seed, 1000, k))
+    model = backbone.train(model, current, train_config)
+    buffer = memory.admit_and_rebalance(buffer, table, new_ids)
+
+    # current holds only train and val rows
+    train = current.splits == dataset.TRAIN
+    counts = np.bincount(current.labels[train], minlength=new_ids.stop)
+    if np.any(counts == 0):
+        raise ConfigurationError(f"state {k}: a class has no train records")
+    ctx = calibration.CalibContext(
+        train_scores=backbone.scores(model, current.features[train]),
+        train_labels=current.labels[train],
+        val_scores=backbone.scores(model, current.features[~train]),
+        val_labels=current.labels[~train],
+        class_counts=counts,
+        old_classes=tuple(range(new_ids.start)),
+        new_classes=tuple(new_ids),
+        table=table,
+        buffer=buffer,
+    )
+
+    test_part = table.only(split=dataset.TEST, classes=range(new_ids.stop))
+    raw = backbone.scores(model, test_part.features)
+    bal_config = replace(cfg.train, seed=derive_seed(cfg.model_seed, 2000, k))
+    per_method = {}
+    for method in cfg.methods:
+        try:
+            calibrated = calibration.calibrate(
+                method, ctx, raw, test_part.features, model, bal_config
+            )
+        except (ParameterError, ConfigurationError) as exc:
+            raise ConfigurationError(f"state {k}, method {method}: {exc}") from exc
+        preds = calibration.predict(calibrated)
+        per_method[method] = metrics.MethodResult(
+            top1=metrics.top1(preds, test_part.labels),
+            ece=metrics.ece(backbone.softmax(calibrated), preds, test_part.labels, cfg.ece_bins),
+        )
+    mu_old, mu_new = metrics.group_mean_scores(
+        ctx.val_scores, ctx.val_labels, ctx.old_classes, ctx.new_classes
+    )
+    return model, buffer, metrics.StateReport(k, mu_old, mu_new, per_method)
 
 
 def summarize(reports, methods):

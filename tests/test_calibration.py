@@ -31,6 +31,7 @@ from imbcal.calibration import (
 )
 from imbcal.dataset import DatasetTable
 from imbcal.errors import ConfigurationError, ParameterError
+from imbcal.memory import MemoryBuffer
 
 
 def make_ctx(train_scores, train_labels, val_scores=None, val_labels=None,
@@ -62,12 +63,19 @@ def platt_fit(scores, positive):
     return state.params["A"][0], state.params["C"][0], state.flags["converged"][0]
 
 
-def exemplar_table(per_class):
-    """Train-split exemplar table from a class id -> (m, d) features dict."""
+def exemplar_table(per_class, capacity=100, split="train"):
+    """(table, MemoryBuffer) from a class id -> (m, d) features dict: the
+    memory stores every row of the table, class by class."""
     ids = sorted(per_class)
     feats = np.concatenate([per_class[c] for c in ids])
     labels = np.concatenate([np.full(len(per_class[c]), c) for c in ids])
-    return DatasetTable(feats, labels, ["train"] * len(labels))
+    table = DatasetTable(feats, labels, [split] * len(labels))
+    return table, MemoryBuffer(capacity, {c: np.flatnonzero(labels == c) for c in ids})
+
+
+def memory_kw(per_class, **kw):
+    """The table and buffer keywords of a context over ``exemplar_table``."""
+    return dict(zip(("table", "buffer"), exemplar_table(per_class, **kw)))
 
 
 class TestPava:
@@ -275,35 +283,39 @@ class TestNem:
         return {0: np.array([[0.0, 0.0], [2.0, 0.0]]), 1: np.array([[10.0, 0.0]])}
 
     def test_means_are_exact(self):
-        ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplars=exemplar_table(self.exemplars()))
+        ctx = make_ctx(np.zeros((2, 2)), [0, 1], **memory_kw(self.exemplars()))
         state = fit_nem(ctx)
         assert state.params["means"].tolist() == [[1.0, 0.0], [10.0, 0.0]]
 
     def test_score_is_inverse_distance(self):
-        ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplars=exemplar_table(self.exemplars()))
+        ctx = make_ctx(np.zeros((2, 2)), [0, 1], **memory_kw(self.exemplars()))
         state = fit_nem(ctx)
         out = apply_nem(state, np.array([[1.5, 0.0]]))
         assert out[0, 0] == pytest.approx(1.0 / 0.5, rel=1e-9)
 
     def test_argmax_is_nearest_mean(self):
-        ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplars=exemplar_table(self.exemplars()))
+        ctx = make_ctx(np.zeros((2, 2)), [0, 1], **memory_kw(self.exemplars()))
         state = fit_nem(ctx)
         out = apply_nem(state, np.array([[2.0, 0.0], [9.0, 0.0]]))
         assert predict(out).tolist() == [0, 1]
 
     def test_translation_equivariance(self):
-        ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplars=exemplar_table(self.exemplars()))
+        ctx = make_ctx(np.zeros((2, 2)), [0, 1], **memory_kw(self.exemplars()))
         state = fit_nem(ctx)
         shift = np.array([3.0, -4.0])
         shifted = {c: f + shift for c, f in self.exemplars().items()}
-        state2 = fit_nem(make_ctx(np.zeros((2, 2)), [0, 1], exemplars=exemplar_table(shifted)))
+        state2 = fit_nem(make_ctx(np.zeros((2, 2)), [0, 1], **memory_kw(shifted)))
         q = np.array([[1.0, 1.0]])
         assert np.allclose(apply_nem(state, q), apply_nem(state2, q + shift))
 
     def test_missing_class_rejected(self):
-        ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplars=exemplar_table({0: np.zeros((1, 2))}))
+        ctx = make_ctx(np.zeros((2, 2)), [0, 1], **memory_kw({0: np.zeros((1, 2))}))
         with pytest.raises(ConfigurationError):
             fit_nem(ctx)
+
+    def test_missing_memory_rejected(self):
+        with pytest.raises(ConfigurationError, match="need the exemplar memory"):
+            fit_nem(make_ctx(np.zeros((2, 2)), [0, 1]))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -327,7 +339,7 @@ class TestBalanced:
         exemplars = {c: rng.normal(size=(14, dim)) + 3 * c for c in range(n_classes)}
         exemplars[3] = exemplars[3][:5]  # one class stored fewer than the quota
         ctx = make_ctx(np.zeros((n_classes, n_classes)), list(range(n_classes)),
-                       exemplars=exemplar_table(exemplars), memory_capacity=capacity)
+                       **memory_kw(exemplars, capacity=capacity))
         model = extend_model(None, n_classes, dim, seed=0)
         state = fit_balanced(ctx, model, TrainConfig(epochs=2, seed=0))
         used = state.flags["per_class_used"]
@@ -341,8 +353,7 @@ class TestBalanced:
         dim = 3
         exemplars = {c: rng.normal(scale=0.2, size=(10, dim)) + 8 * np.eye(dim)[c]
                      for c in range(3)}
-        ctx = make_ctx(np.zeros((3, 3)), [0, 1, 2],
-                       exemplars=exemplar_table(exemplars), memory_capacity=30)
+        ctx = make_ctx(np.zeros((3, 3)), [0, 1, 2], **memory_kw(exemplars, capacity=30))
         model = extend_model(None, 3, dim, seed=0)
         state = fit_balanced(ctx, model, TrainConfig(epochs=25, seed=0))
         for c in range(3):
@@ -351,20 +362,20 @@ class TestBalanced:
 
     def test_zero_quota_rejected(self):
         # capacity 2 over 3 classes gives floor(2 / 3) = 0 rows per class
-        ctx = make_ctx(np.zeros((3, 3)), [0, 1, 2], memory_capacity=2,
-                       exemplars=exemplar_table({c: np.zeros((1, 2)) for c in range(3)}))
+        ctx = make_ctx(np.zeros((3, 3)), [0, 1, 2],
+                       **memory_kw({c: np.zeros((1, 2)) for c in range(3)}, capacity=2))
         with pytest.raises(ParameterError):
             fit_balanced(ctx, extend_model(None, 3, 2, seed=0), TrainConfig(epochs=1))
 
     def test_all_val_table_rejected(self):
-        val_only = DatasetTable(np.zeros((2, 2)), [0, 1], ["val", "val"])
-        ctx = make_ctx(np.zeros((2, 2)), [0, 1], exemplars=val_only, memory_capacity=4)
+        val_only = memory_kw({0: np.zeros((1, 2)), 1: np.zeros((1, 2))}, capacity=4, split="val")
+        ctx = make_ctx(np.zeros((2, 2)), [0, 1], **val_only)
         with pytest.raises(ParameterError):
             fit_balanced(ctx, extend_model(None, 2, 2, seed=0), TrainConfig(epochs=1))
 
     def test_missing_capacity_rejected(self):
-        ctx = make_ctx(np.zeros((2, 2)), [0, 1],
-                       exemplars=exemplar_table({0: np.zeros((1, 2)), 1: np.zeros((1, 2))}))
+        table, _ = exemplar_table({0: np.zeros((1, 2)), 1: np.zeros((1, 2))})
+        ctx = make_ctx(np.zeros((2, 2)), [0, 1], table=table)  # no buffer, so no capacity
         with pytest.raises(ConfigurationError):
             fit_balanced(ctx, extend_model(None, 2, 2, seed=0), TrainConfig())
 

@@ -6,8 +6,9 @@ likelihood at every step (the fast fit runs blocks of classes in
 lockstep), the scalar Fisher-Jenks DP, nem's full (n, N, d) difference
 tensor, herding that orders every row of a class, SGD that takes the
 softmax and the loss with an exp each, the feature and score CSV
-loaders that call ``float`` on each ``csv.reader`` cell, and the th and
-mb applies that preceded the shared per-class factor multiply. The fast
+loaders that call ``float`` on each ``csv.reader`` cell, the th and mb
+applies that preceded the shared per-class factor multiply, and nem and
+bal reading the memory copied out as one table. The fast
 versions perform the same IEEE operations on the same operands, so
 results must match bit for bit (``tobytes()``), not merely to a
 tolerance; the loaders must also fail with the same message and line.
@@ -45,8 +46,8 @@ from imbcal.calibration import (
     pava,
 )
 from imbcal.cli import _read_scores, main
-from imbcal.dataset import SPLITS, TRAIN, DatasetTable, load_features
-from imbcal.errors import FormatError
+from imbcal.dataset import SPLITS, TEST, TRAIN, VAL, DatasetTable, load_features
+from imbcal.errors import FormatError, ParameterError
 from imbcal.memory import HERD_SCREEN_MIN, _screen, herd_order
 
 # ---------------------------------------------------------------------------
@@ -172,6 +173,24 @@ def oracle_apply_nem(means, features):
     diff = features[:, None, :] - means[None, :, :]
     dists = np.sqrt((diff**2).sum(axis=2))
     return 1.0 / (dists + NEM_EPSILON)
+
+
+def _oracle_exemplars(buffer, table, num_classes):
+    """The memory copied out as one table, regrouped by scanning its labels."""
+    exemplars = memory.memory_dataset(buffer, table)
+    return exemplars, [np.flatnonzero(exemplars.labels == c) for c in range(num_classes)]
+
+
+def oracle_nem_means(buffer, table, num_classes):
+    exemplars, rows = _oracle_exemplars(buffer, table, num_classes)
+    return np.vstack([exemplars.features[r].mean(axis=0) for r in rows])
+
+
+def oracle_balanced(buffer, table, num_classes, model, config):
+    """bal's retrained layer: the first floor(B / N) rows of each class of the copy."""
+    exemplars, rows = _oracle_exemplars(buffer, table, num_classes)
+    quota = buffer.capacity // num_classes
+    return train(model, exemplars.subset(np.concatenate([r[:quota] for r in rows])), config)
 
 
 def oracle_apply_threshold(class_counts, probs):
@@ -597,6 +616,80 @@ def test_apply_nem_is_bitwise_equal_across_chunk_boundaries(rows):
     features = rng.normal(size=(rows, 11)) * 3
     out = apply_nem(CalibratorState("nem", {"means": means}), features)
     assert _same(out, oracle_apply_nem(means, features))
+
+
+# ---------------------------------------------------------------------------
+# nem and bal: row ids into the run's table, not a copy of the memory
+
+
+def _memory_case(gen, rows_by_class, capacity, first):
+    """A shuffled table whose class c holds the splits ``rows_by_class[c]``,
+    and its memory after admitting classes 0..first-1, then the rest."""
+    labels = np.repeat(np.arange(len(rows_by_class)), [len(r) for r in rows_by_class])
+    order = gen.permutation(len(labels))
+    splits = np.concatenate(rows_by_class)[order]
+    features = gen.normal(size=(len(labels), 3)) * 10.0 ** gen.uniform(-3, 3)
+    table = DatasetTable(features, labels[order], splits)
+    buffer = memory.MemoryBuffer.empty(capacity)
+    for ids in (range(first), range(first, len(rows_by_class))):
+        buffer = memory.admit_and_rebalance(buffer, table, ids)
+    return table, buffer
+
+
+def _assert_memory_fits_match_oracles(table, buffer, num_classes, seed):
+    """nem's means and bal's layer against the oracles; False when bal has no
+    train row to fit on, and then both paths refuse alike."""
+    ctx = CalibContext(
+        train_scores=np.zeros((0, num_classes)), train_labels=np.zeros(0, dtype=np.int64),
+        val_scores=np.zeros((0, num_classes)), val_labels=np.zeros(0, dtype=np.int64),
+        class_counts=np.ones(num_classes), old_classes=(),
+        new_classes=tuple(range(num_classes)), table=table, buffer=buffer,
+    )
+    means = calibration.fit_nem(ctx).params["means"]
+    assert _same(means, oracle_nem_means(buffer, table, num_classes))
+
+    model = extend_model(None, num_classes, table.dim, seed)
+    config = TrainConfig(epochs=2, batch_size=1 + seed % 4, seed=seed)
+    try:
+        expected = oracle_balanced(buffer, table, num_classes, model, config)
+    except ParameterError as exc:
+        with pytest.raises(ParameterError) as refused:
+            calibration.fit_balanced(ctx, model, config)
+        assert str(refused.value) == str(exc)
+        return False
+    state = calibration.fit_balanced(ctx, model, config)
+    assert _same(state.params["weights"], expected.weights)
+    assert _same(state.params["biases"], expected.biases)
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_nem_and_bal_read_the_memory_as_the_copied_table_did(data):
+    num_classes = data.draw(st.integers(1, 5))
+    # each class's train and val rows (at least one), then up to two test rows
+    rows_by_class = [
+        data.draw(st.lists(st.sampled_from([TRAIN, VAL]), min_size=1, max_size=8))
+        + [TEST] * data.draw(st.integers(0, 2))
+        for _ in range(num_classes)
+    ]
+    capacity = data.draw(st.integers(num_classes, 4 * num_classes))
+    first = data.draw(st.integers(1, num_classes))
+    seed = data.draw(st.integers(0, 2**16))
+    table, buffer = _memory_case(np.random.default_rng(seed), rows_by_class, capacity, first)
+    _assert_memory_fits_match_oracles(table, buffer, num_classes, seed)
+
+
+def test_nem_and_bal_match_with_a_short_class_and_an_all_val_class():
+    rows_by_class = [
+        [TRAIN, TEST],  # one stored row against a quota of 3
+        [VAL, VAL, VAL, VAL, TEST],  # stores only val rows
+        [TRAIN, VAL] * 5 + [TEST],
+    ]
+    table, buffer = _memory_case(np.random.default_rng(7), rows_by_class, 9, 2)
+    assert [len(buffer.classes[c]) for c in range(3)] == [1, 3, 3]
+    assert set(table.splits[buffer.classes[1]]) == {VAL}
+    assert _assert_memory_fits_match_oracles(table, buffer, 3, 7)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from imbcal.cli import main
 from imbcal.errors import ParameterError
+from imbcal.memory import memory_dataset
 from imbcal.harness import (
     ALL_METHODS,
     ExperimentConfig,
@@ -81,6 +82,19 @@ class TestRunExperiment:
         cfg = small_config(class_order=order, methods=("none",))
         reports, _ = run_experiment(cfg)
         assert len(reports) == 3
+
+    def test_memory_is_copied_out_once_per_state(self, monkeypatch):
+        # nem and bal read the memory's row ids; only the training table copies it
+        calls = []
+
+        def counted(buffer, table):
+            calls.append(len(buffer.classes))
+            return memory_dataset(buffer, table)
+
+        monkeypatch.setattr("imbcal.memory.memory_dataset", counted)
+        reports, _ = run_experiment(small_config())
+        assert set(reports[0].per_method) == set(ALL_METHODS)
+        assert calls == [0, 3, 6]  # the classes stored before each state trains
 
 
 class TestWriteOutputs:
@@ -489,6 +503,44 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "label,s0,s1"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "rows, line", [("0,5\n1,3\n2,4\n0,9\n", 4), ("0,0\n0,5\n1,3\n2,4\n", 2)]
+    )
+    def test_calibrate_counts_listing_a_class_twice_exit_3(self, tmp_path, capsys, rows, line):
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,s0,s1,s2\n0,2.0,1.0,0.5\n1,1.0,2.0,0.5\n2,0.5,1.0,2.0\n")
+        counts = tmp_path / "c.csv"
+        counts.write_text(rows)
+        assert main(["calibrate", "--method", "th", "--scores", str(scores),
+                     "--counts", str(counts)]) == 3
+        err = capsys.readouterr().err
+        assert f"c.csv: line {line}: class 0 listed twice" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rows, named", [("0,5\n2,4\n", "class 1 has 0"),
+                                             ("0,5\n1,3\n2,-4\n", "class 2 has -4")])
+    def test_calibrate_counts_name_the_class_without_a_positive_count(
+        self, tmp_path, capsys, rows, named
+    ):
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,s0,s1,s2\n0,2.0,1.0,0.5\n1,1.0,2.0,0.5\n2,0.5,1.0,2.0\n")
+        counts = tmp_path / "c.csv"
+        counts.write_text(rows)
+        assert main(["calibrate", "--method", "fj", "--scores", str(scores),
+                     "--counts", str(counts)]) == 3
+        err = capsys.readouterr().err
+        assert f"c.csv: every class needs a positive count, {named}" in err
+        assert "Traceback" not in err
+
+    def test_calibrate_mb_overlapping_old_and_new_exit_2(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,s0,s1,s2\n0,2.0,1.0,0.5\n1,1.0,2.0,0.5\n2,0.5,1.0,2.0\n")
+        assert main(["calibrate", "--method", "mb", "--scores", str(scores),
+                     "--old", "0,1", "--new", "1,2"]) == 2
+        err = capsys.readouterr().err
+        assert "--old and --new share class 1" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("option", ["--old", "--new"])
     @pytest.mark.parametrize("ids", ["a", "0,"])
