@@ -509,7 +509,7 @@ def fit_fj(ctx):
     the L with the best validation top-1 wins (ties to the smallest L).
     """
     best = None
-    for num_clusters in range(1, min(8, len(np.unique(ctx.class_counts))) + 1):
+    for num_clusters in range(1, min(8, len(set(ctx.class_counts.tolist()))) + 1):
         factors = _fj_factors(ctx, num_clusters)
         acc = top1(predict(ctx.val_scores * factors), ctx.val_labels)
         if best is None or acc > best[0]:

@@ -117,7 +117,10 @@ def _read_counts(path, num_classes):
             if listed[c]:
                 raise FormatError(f"{path}: line {lineno}: class {c} listed twice")
             listed[c] = True
-            counts[c] = n
+            try:
+                counts[c] = n
+            except OverflowError:
+                raise FormatError(f"{path}: line {lineno}: count too large for a float") from None
     bad = np.flatnonzero(counts <= 0)
     if len(bad):
         raise FormatError(

@@ -57,9 +57,9 @@ class DatasetTable:
         n = features.shape[0]
         if labels.shape != (n,) or splits.shape != (n,):
             raise ParameterError("features, labels and splits must align")
-        bad = set(np.unique(splits)) - set(SPLITS)
-        if bad:
-            raise ParameterError(f"unknown split flags: {sorted(bad)}")
+        known = np.logical_or.reduce([splits == name for name in SPLITS])
+        if not known.all():
+            raise ParameterError(f"unknown split flags: {sorted(set(splits[~known].tolist()))}")
         features.setflags(write=False)
         labels.setflags(write=False)
         splits.setflags(write=False)
@@ -87,7 +87,8 @@ class DatasetTable:
         return {int(c): int(n) for c, n in zip(labels, counts)}
 
     def classes(self):
-        return [int(c) for c in np.unique(self.labels)]
+        # return_counts keeps np.unique off the path that imports numpy.ma
+        return np.unique(self.labels, return_counts=True)[0].tolist()
 
     def subset(self, rows):
         """The rows picked by a boolean mask or an array of row ids, in order."""
@@ -98,15 +99,19 @@ class DatasetTable:
         mask = np.ones(len(self), dtype=bool)
         if split is not None:
             names = (split,) if isinstance(split, str) else tuple(split)
-            mask &= np.isin(self.splits, names)
+            mask &= np.logical_or.reduce([self.splits == name for name in names])
         if classes is not None:
             mask &= np.isin(self.labels, np.fromiter(classes, dtype=np.int64))
         return self.subset(mask)
 
     def relabeled(self, mapping):
-        """Return a copy with labels passed through ``mapping``."""
-        new_labels = np.array([mapping[int(c)] for c in self.labels], dtype=np.int64)
-        return DatasetTable(self.features, new_labels, self.splits)
+        """Return a copy with labels passed through ``mapping``, which must map every label."""
+        classes, inverse = np.unique(self.labels, return_inverse=True)
+        try:
+            lookup = np.array([mapping[c] for c in classes.tolist()], dtype=np.int64)
+        except KeyError as exc:
+            raise ParameterError(f"label {exc.args[0]} has no mapping") from None
+        return DatasetTable(self.features, lookup[inverse], self.splits)
 
     @staticmethod
     def concat(tables):
@@ -119,9 +124,11 @@ class DatasetTable:
 
 def _centers(generator, num_classes, dim, class_separation):
     centers = generator.normal(size=(num_classes, dim))
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt((diff**2).sum(-1))
-    dmin = dist[np.triu_indices(num_classes, k=1)].min()
+    # row by row: the (C, C, d) difference tensor would take C*C*d floats
+    dmin = min(
+        np.sqrt(((centers[i] - centers[i + 1 :]) ** 2).sum(-1)).min()
+        for i in range(num_classes - 1)
+    )
     if dmin > 0:
         centers *= class_separation / dmin
     return centers
@@ -158,13 +165,14 @@ def generate_synthetic(
     generator = rng.op_rng(seed, rng.SYNTHETIC)
     centers = _centers(generator, num_classes, dim, class_separation)
 
-    feats, labels, splits = [], [], []
-    for c in range(num_classes):
-        for count, split in ((count_per_class, TRAIN), (test_per_class, TEST)):
-            feats.append(centers[c] + noise_scale * generator.normal(size=(count, dim)))
-            labels.append(np.full(count, c, dtype=np.int64))
-            splits.append(np.full(count, split, dtype="<U5"))
-    return DatasetTable(np.concatenate(feats), np.concatenate(labels), np.concatenate(splits))
+    # Generator.normal keeps no state between calls, so one draw is the
+    # per-class draws (class c's train rows, then its test rows) end to end
+    per_class = count_per_class + test_per_class
+    feats = noise_scale * generator.normal(size=(num_classes, per_class, dim))
+    feats += centers[:, None, :]
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
+    splits = np.tile(np.repeat([TRAIN, TEST], [count_per_class, test_per_class]), num_classes)
+    return DatasetTable(feats.reshape(-1, dim), labels, splits)
 
 
 def largest_remainder(total, proportions):
@@ -190,35 +198,43 @@ def apply_imbalance(table, kind, seed):
         return table
 
     generator = rng.op_rng(seed, rng.IMBALANCE)
-    census = table.census
-    classes = sorted(census)
+    rows = _train_rows_by_class(table)
     targets = {}
     if kind == "soft":
-        for c in classes:
-            n = census[c]
+        for c, idx in rows.items():
+            n = len(idx)
             lo = min(SOFT_MINIMUM, n)
             targets[c] = int(generator.integers(lo, n + 1))
     else:  # strong
-        order = list(classes)
+        order = list(rows)
         generator.shuffle(order)
         sizes = largest_remainder(len(order), STRONG_PROPORTIONS)
         pos = 0
         for (lo, hi), size in zip(STRONG_INTERVALS, sizes):
             for c in order[pos : pos + size]:
-                n = census[c]
+                n = len(rows[c])
                 lo_c = min(lo, n)
                 hi_c = n if hi is None else min(hi, n)
                 targets[c] = int(generator.integers(lo_c, hi_c + 1))
             pos += size
 
     keep = np.ones(len(table), dtype=bool)
-    for c in classes:
-        idx = np.flatnonzero((table.labels == c) & (table.splits == TRAIN))
+    for c, idx in rows.items():
         u = targets[c]
         if u < len(idx):
             kept = generator.choice(idx, size=u, replace=False)
-            keep[np.setdiff1d(idx, kept)] = False
+            keep[idx] = False
+            keep[kept] = True
     return table.subset(keep)
+
+
+def _train_rows_by_class(table):
+    """{class: its train row ids, ascending}, the classes in ascending order."""
+    rows = np.flatnonzero(table.splits == TRAIN)
+    labels = table.labels[rows]
+    classes, counts = np.unique(labels, return_counts=True)
+    groups = np.split(rows[np.argsort(labels, kind="stable")], np.cumsum(counts)[:-1])
+    return dict(zip(classes.tolist(), groups))
 
 
 def plan_states(table, num_states, seed_or_fixed_order):
@@ -256,8 +272,7 @@ def split_train_val(table, fraction, seed):
         raise ParameterError("fraction must be in (0, 1)")
     generator = rng.op_rng(seed, rng.SPLIT)
     splits = table.splits.copy()
-    for c in sorted(table.census):
-        idx = np.flatnonzero((table.labels == c) & (table.splits == TRAIN))
+    for c, idx in _train_rows_by_class(table).items():
         n = len(idx)
         if n < 2:
             warnings.warn(f"class {c} has a single train record; no val split for it")

@@ -1,14 +1,16 @@
+import json
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbcal import dataset
+from imbcal import dataset, rng
 from imbcal.dataset import (
     DatasetTable,
     apply_imbalance,
@@ -61,6 +63,27 @@ class TestGenerateSynthetic:
         kwargs.update(bad)
         with pytest.raises(ParameterError):
             generate_synthetic(**kwargs)
+
+
+class TestDatasetTable:
+    @pytest.mark.parametrize("splits, listed", [
+        (["train", "bogus", "test"], "['bogus']"),
+        (["zz", "val", "bogus", "zz"], "['bogus', 'zz']"),
+    ])
+    def test_unknown_split_flags_are_listed_as_strings(self, splits, listed):
+        with pytest.raises(ParameterError) as refused:
+            DatasetTable(np.zeros((len(splits), 2)), range(len(splits)), splits)
+        assert str(refused.value) == f"unknown split flags: {listed}"
+
+    def test_relabeled_maps_every_row(self):
+        t = DatasetTable(np.zeros((5, 2)), [7, 3, 7, 0, 3], ["train"] * 5)
+        out = t.relabeled({0: 2, 3: 0, 7: 1, 9: 5})
+        assert out.labels.tolist() == [1, 0, 1, 2, 0]
+
+    def test_relabeled_refuses_a_label_missing_from_the_mapping(self):
+        t = DatasetTable(np.zeros((3, 2)), [0, 4, 1], ["train"] * 3)
+        with pytest.raises(ParameterError, match="label 4 has no mapping"):
+            t.relabeled({0: 1, 1: 0})
 
 
 class TestApplyImbalance:
@@ -467,3 +490,67 @@ def test_imbalance_then_split_preserve_all_invariants(seed):
         n_val = len(out.only(split="val", classes=[c]))
         assert n_train >= 1 and n_val >= 1
     assert len(out.only(split="test")) == 32
+
+
+RUN_AND_REPORT_NUMPY_MA = """
+import sys
+from imbcal import cli
+if "numpy.ma" in sys.modules:
+    print("imported with numpy")
+    sys.exit()
+config, out, runs = sys.argv[1:]
+for k in range(int(runs)):
+    status = cli.main(["run", "--config", config, "--out", f"{out}{k}"])
+    if status:
+        sys.exit(status)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def _run_in_a_fresh_process(tmp_path, config, runs=1):
+    """Whether ``imbcal run`` on ``config``, ``runs`` times in one fresh
+    process, leaves numpy.ma out of sys.modules."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", RUN_AND_REPORT_NUMPY_MA, str(path), str(tmp_path / "out"),
+         str(runs)],
+        capture_output=True, text=True, env=env, check=True, timeout=120, cwd=tmp_path,
+    )
+    result = out.stdout.strip().splitlines()[-1]
+    if result == "imported with numpy":
+        pytest.skip("numpy 1.x imports numpy.ma with numpy itself")
+    return result
+
+
+# importing numpy.ma costs about 15 ms and its memory; plain np.unique,
+# np.setdiff1d and np.isin over strings import it under numpy 2
+RUN = {"num_states": 2, "memory": 8, "imbalance": "strong", "train": {"epochs": 2},
+       "methods": ["none", "iso", "pl", "th", "nem", "bal", "mb", "fj"]}
+
+
+def test_a_synthetic_run_imports_no_numpy_ma(tmp_path):
+    config = dict(RUN, data={"synthetic": {"classes": 6, "dim": 3, "per_class": 12,
+                                           "test_per_class": 3}})
+    assert _run_in_a_fresh_process(tmp_path, config) == "False"
+
+
+def test_a_feature_run_imports_no_numpy_ma_parsed_or_cached(tmp_path):
+    f, m = tmp_path / "x.csv", tmp_path / "x.json"
+    save_features(generate_synthetic(6, 3, 12, 5.0, 1.0, seed=4, test_per_class=3), f, m)
+    config = dict(RUN, data={"features": {"features_path": str(f), "manifest_path": str(m)}})
+    # the first run parses the CSV and writes the sidecar, the second reads it
+    assert _run_in_a_fresh_process(tmp_path, config, runs=2) == "False"
+    assert (tmp_path / "x.csv.cache.npz").is_file()
+
+
+def test_centers_allocate_no_class_by_class_tensor():
+    # the (C, C, d) difference tensor of 500 classes in 256-d took 979 MB
+    tracemalloc.start()
+    try:
+        dataset._centers(rng.op_rng(0, rng.SYNTHETIC), 500, 256, 2.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -7,8 +7,9 @@ lockstep), the scalar Fisher-Jenks DP, nem's full (n, N, d) difference
 tensor, herding that orders every row of a class, SGD that takes the
 softmax and the loss with an exp each, the feature and score CSV
 loaders that call ``float`` on each ``csv.reader`` cell, the th and mb
-applies that preceded the shared per-class factor multiply, and nem and
-bal reading the memory copied out as one table. The fast
+applies that preceded the shared per-class factor multiply, nem and
+bal reading the memory copied out as one table, and the table build
+that drew, scanned and relabeled one class at a time. The fast
 versions perform the same IEEE operations on the same operands, so
 results must match bit for bit (``tobytes()``), not merely to a
 tolerance; the loaders must also fail with the same message and line.
@@ -16,7 +17,9 @@ tolerance; the loaders must also fail with the same message and line.
 
 import csv
 import json
+import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -370,6 +373,88 @@ def oracle_read_scores(path):
     return scores, labels
 
 
+def oracle_centers(generator, num_classes, dim, class_separation):
+    """The centers, scaled by the least distance in the (C, C, d) difference tensor."""
+    centers = generator.normal(size=(num_classes, dim))
+    diff = centers[:, None, :] - centers[None, :, :]
+    dist = np.sqrt((diff**2).sum(-1))
+    dmin = dist[np.triu_indices(num_classes, k=1)].min()
+    if dmin > 0:
+        centers *= class_separation / dmin
+    return centers
+
+
+def oracle_generate_synthetic(num_classes, dim, count_per_class, class_separation,
+                              noise_scale, seed, test_per_class=None):
+    """Two normal draws per class, train then test, each added to its center."""
+    if test_per_class is None:
+        test_per_class = count_per_class
+    generator = rng.op_rng(seed, rng.SYNTHETIC)
+    centers = oracle_centers(generator, num_classes, dim, class_separation)
+    feats, labels, splits = [], [], []
+    for c in range(num_classes):
+        for count, split in ((count_per_class, TRAIN), (test_per_class, TEST)):
+            feats.append(centers[c] + noise_scale * generator.normal(size=(count, dim)))
+            labels.append(np.full(count, c, dtype=np.int64))
+            splits.append(np.full(count, split, dtype="<U5"))
+    return DatasetTable(np.concatenate(feats), np.concatenate(labels), np.concatenate(splits))
+
+
+def _oracle_train_rows(table, c):
+    """Class c's train row ids, from a scan of the whole table."""
+    return np.flatnonzero((table.labels == c) & (table.splits == TRAIN))
+
+
+def oracle_apply_imbalance(table, kind, seed):
+    if kind == "none":
+        return table
+    generator = rng.op_rng(seed, rng.IMBALANCE)
+    census = table.census
+    classes = sorted(census)
+    targets = {}
+    if kind == "soft":
+        for c in classes:
+            n = census[c]
+            targets[c] = int(generator.integers(min(dataset.SOFT_MINIMUM, n), n + 1))
+    else:
+        order = list(classes)
+        generator.shuffle(order)
+        sizes = dataset.largest_remainder(len(order), dataset.STRONG_PROPORTIONS)
+        pos = 0
+        for (lo, hi), size in zip(dataset.STRONG_INTERVALS, sizes):
+            for c in order[pos : pos + size]:
+                n = census[c]
+                hi_c = n if hi is None else min(hi, n)
+                targets[c] = int(generator.integers(min(lo, n), hi_c + 1))
+            pos += size
+    keep = np.ones(len(table), dtype=bool)
+    for c in classes:
+        idx = _oracle_train_rows(table, c)
+        if targets[c] < len(idx):
+            kept = generator.choice(idx, size=targets[c], replace=False)
+            keep[np.setdiff1d(idx, kept)] = False
+    return table.subset(keep)
+
+
+def oracle_split_train_val(table, fraction, seed):
+    generator = rng.op_rng(seed, rng.SPLIT)
+    splits = table.splits.copy()
+    for c in sorted(table.census):
+        idx = _oracle_train_rows(table, c)
+        if len(idx) < 2:
+            warnings.warn(f"class {c} has a single train record; no val split for it")
+            continue
+        chosen = generator.choice(idx, size=math.ceil(fraction * len(idx)), replace=False)
+        splits[chosen] = VAL
+    return DatasetTable(table.features, table.labels, splits)
+
+
+def oracle_relabeled(table, mapping):
+    """One dict lookup per row."""
+    labels = np.array([mapping[int(c)] for c in table.labels], dtype=np.int64)
+    return DatasetTable(table.features, labels, table.splits)
+
+
 # ---------------------------------------------------------------------------
 # pava
 
@@ -690,6 +775,123 @@ def test_nem_and_bal_match_with_a_short_class_and_an_all_val_class():
     assert [len(buffer.classes[c]) for c in range(3)] == [1, 3, 3]
     assert set(table.splits[buffer.classes[1]]) == {VAL}
     assert _assert_memory_fits_match_oracles(table, buffer, 3, 7)
+
+
+# ---------------------------------------------------------------------------
+# the table build: one draw, each class's train rows found once
+
+
+def _same_table(a, b):
+    return all(_same(x, y) for x, y in zip((a.features, a.labels, a.splits),
+                                           (b.features, b.labels, b.splits)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    num_classes=st.integers(2, 40),
+    dim=st.integers(2, 300),
+    separation=st.floats(0.1, 10),
+    seed=st.integers(0, 2**32),
+)
+def test_centers_row_by_row_are_bitwise_equal_to_the_difference_tensor(
+    num_classes, dim, separation, seed
+):
+    fast = dataset._centers(rng.op_rng(seed, rng.SYNTHETIC), num_classes, dim, separation)
+    slow = oracle_centers(rng.op_rng(seed, rng.SYNTHETIC), num_classes, dim, separation)
+    assert _same(fast, slow)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_classes=st.integers(2, 7),
+    dim=st.sampled_from([2, 3, 8, 9, 17, 130]),
+    count=st.integers(2, 6),
+    test_count=st.none() | st.integers(1, 6),
+    separation=st.floats(0.1, 10),
+    noise=st.sampled_from([0.0, 0.5, 1.5]) | st.floats(0, 3),
+    seed=st.integers(0, 2**32),
+)
+@example(num_classes=2, dim=2, count=2, test_count=None, separation=5.0, noise=0.0, seed=0)
+@example(num_classes=2, dim=3, count=5, test_count=1, separation=2.5, noise=1.5, seed=1)
+def test_generate_synthetic_is_bitwise_equal_to_the_per_class_draws(
+    num_classes, dim, count, test_count, separation, noise, seed
+):
+    args = (num_classes, dim, count, separation, noise, seed)
+    fast = dataset.generate_synthetic(*args, test_per_class=test_count)
+    assert _same_table(fast, oracle_generate_synthetic(*args, test_per_class=test_count))
+
+
+def _class_table(seed, train_counts, val_rows=0, test_rows=1):
+    """A shuffled table: class c (a key of ``train_counts``) has
+    ``train_counts[c]`` train rows plus ``val_rows`` val and ``test_rows`` test rows."""
+    gen = np.random.default_rng(seed)
+    per_class = [[TRAIN] * n + [VAL] * val_rows + [TEST] * test_rows
+                 for n in train_counts.values()]
+    labels = np.repeat(np.array(list(train_counts), dtype=np.int64),
+                       [len(rows) for rows in per_class])
+    splits = np.array([s for rows in per_class for s in rows], dtype="<U5")
+    order = gen.permutation(len(labels))
+    return DatasetTable(gen.normal(size=(len(labels), 2)), labels[order], splits[order])
+
+
+def _assert_build_matches_oracles(table, kind, fraction, seed):
+    """apply_imbalance, split_train_val and relabeled against their oracles,
+    warnings included; returns the imbalanced table."""
+    imbalanced = dataset.apply_imbalance(table, kind, seed)
+    assert _same_table(imbalanced, oracle_apply_imbalance(table, kind, seed))
+    with warnings.catch_warnings(record=True) as fast_warnings:
+        warnings.simplefilter("always")
+        fast = dataset.split_train_val(imbalanced, fraction, seed)
+    with warnings.catch_warnings(record=True) as slow_warnings:
+        warnings.simplefilter("always")
+        slow = oracle_split_train_val(imbalanced, fraction, seed)
+    assert _same_table(fast, slow)
+    assert [str(w.message) for w in fast_warnings] == [str(w.message) for w in slow_warnings]
+    classes = fast.classes()
+    mapping = {c: int(k) for c, k in
+               zip(classes, np.random.default_rng(seed).permutation(len(classes)))}
+    assert _same_table(fast.relabeled(mapping), oracle_relabeled(fast, mapping))
+    return imbalanced
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    train_counts=st.dictionaries(
+        st.integers(0, 20),
+        st.integers(0, 3) | st.integers(4, 30) | st.integers(31, 120),
+        min_size=1, max_size=6,
+    ),
+    val_rows=st.integers(0, 2),
+    test_rows=st.integers(0, 2),
+    kind=st.sampled_from(dataset.IMBALANCE_KINDS),
+    fraction=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32),
+)
+def test_imbalance_split_and_relabel_are_bitwise_equal_to_the_per_class_scans(
+    train_counts, val_rows, test_rows, kind, fraction, seed
+):
+    table = _class_table(seed, train_counts, val_rows, test_rows)
+    _assert_build_matches_oracles(table, kind, fraction, seed)
+
+
+@pytest.mark.parametrize("kind", dataset.IMBALANCE_KINDS)
+def test_single_train_row_classes_warn_in_class_order(kind):
+    table = _class_table(3, {9: 1, 2: 40, 5: 1, 0: 3})
+    with pytest.warns(UserWarning) as record:
+        dataset.split_train_val(dataset.apply_imbalance(table, kind, 3), 0.5, 3)
+    assert [str(w.message) for w in record] == [
+        f"class {c} has a single train record; no val split for it" for c in (5, 9)
+    ]
+    _assert_build_matches_oracles(table, kind, 0.5, 3)
+
+
+@pytest.mark.parametrize("kind", ["soft", "strong"])
+def test_a_quota_that_keeps_every_row_matches(kind):
+    # soft keeps at least 50 rows, strong at least 10: classes this small keep all
+    counts = {0: 8, 1: 30, 2: 4, 3: 9} if kind == "soft" else {0: 2, 1: 7, 2: 5, 3: 9}
+    table = _class_table(11, counts, val_rows=1)
+    imbalanced = _assert_build_matches_oracles(table, kind, 0.3, 11)
+    assert imbalanced.census == counts
 
 
 # ---------------------------------------------------------------------------

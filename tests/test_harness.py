@@ -533,6 +533,18 @@ class TestCli:
         assert f"c.csv: every class needs a positive count, {named}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("method", ["th", "fj"])
+    def test_calibrate_counts_too_large_for_a_float_exit_3(self, tmp_path, capsys, method):
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,s0,s1\n0,2.0,1.0\n1,1.0,2.0\n")
+        counts = tmp_path / "c.csv"
+        counts.write_text(f"0,5\n1,{'9' * 400}\n")
+        assert main(["calibrate", "--method", method, "--scores", str(scores),
+                     "--counts", str(counts)]) == 3
+        err = capsys.readouterr().err
+        assert "c.csv: line 2: count too large for a float" in err
+        assert "Traceback" not in err
+
     def test_calibrate_mb_overlapping_old_and_new_exit_2(self, tmp_path, capsys):
         scores = tmp_path / "s.csv"
         scores.write_text("label,s0,s1,s2\n0,2.0,1.0,0.5\n1,1.0,2.0,0.5\n2,0.5,1.0,2.0\n")
