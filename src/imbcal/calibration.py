@@ -38,6 +38,8 @@ FEATURE_METHODS = ("nem", "bal")
 
 NEM_EPSILON = 1e-12
 NEM_CHUNK_ROWS = 64
+# nem's Gram-form distances are within this (relative) of the direct form's
+NEM_RTOL = 1e-12
 PLATT_MAX_ITER = 100
 PLATT_GRAD_TOL = 1e-9
 # scores per block of classes that fit_platt fits in lockstep
@@ -414,16 +416,38 @@ def fit_nem(ctx):
 
 
 def apply_nem(state, features):
-    """Inverse Euclidean distance to each class mean; argmax = nearest mean."""
+    """Inverse Euclidean distance to each class mean; argmax = nearest mean.
+
+    Squared distances are taken in Gram form, |x|^2 - 2 x.mu + |mu|^2 clamped
+    at 0, NEM_CHUNK_ROWS test rows at a time, so no temporary is larger than
+    one block's (rows, N). Near a mean the form cancels: wherever its
+    rounding bound (``memory.gram_error_bound``) exceeds NEM_RTOL of its
+    value, the entry is recomputed as the direct sum of squared differences.
+    So every output is within NEM_RTOL (relative) of the direct form's, and
+    has its bits wherever recomputed; a row equal to a mean scores exactly
+    1 / NEM_EPSILON.
+    """
     features = np.asarray(features, dtype=np.float64)
     means = state.params["means"]
-    # squared distances NEM_CHUNK_ROWS test rows at a time, so the (rows,
-    # N, d) difference tensor stays small; each row's sums are unchanged
-    sq = np.empty((len(features), len(means)))
+    mean_sq = np.einsum("ij,ij->i", means, means)
+    out = np.empty((len(features), len(means)))
     for lo in range(0, len(features), NEM_CHUNK_ROWS):
-        diff = features[lo : lo + NEM_CHUNK_ROWS, None, :] - means[None, :, :]
-        sq[lo : lo + NEM_CHUNK_ROWS] = (diff**2).sum(axis=2)
-    return 1.0 / (np.sqrt(sq) + NEM_EPSILON)
+        x = features[lo : lo + NEM_CHUNK_ROWS]
+        x_sq = np.einsum("ij,ij->i", x, x)[:, None]
+        sq = out[lo : lo + NEM_CHUNK_ROWS]
+        np.matmul(x, means.T, out=sq)
+        sq *= -2.0
+        sq += x_sq
+        sq += mean_sq
+        np.maximum(sq, 0.0, out=sq)
+        # (|x| + |mu|)^2 <= 2 (|x|^2 + |mu|^2); an inf or NaN on either side
+        # makes the difference NaN or -inf, which sends the entry direct too
+        bound = memory.gram_error_bound(means.shape[1], 2 * (x_sq + mean_sq))
+        i, j = np.nonzero(~(sq * NEM_RTOL - bound >= 0))
+        sq[i, j] = ((x[i] - means[j]) ** 2).sum(axis=1)
+    np.sqrt(out, out=out)
+    out += NEM_EPSILON
+    return np.divide(1.0, out, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -22,6 +24,9 @@ import numpy as np
 from . import calibration, dataset, harness
 from .breaks import fisher_jenks
 from .errors import ConfigurationError, FormatError, ParameterError
+
+# a base-10 integer literal in ASCII digits, as int() reads one
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+(?:_[0-9]+)*\s*")
 
 # calibrators that can be fitted from a labeled score file alone
 SCORE_METHODS = tuple(
@@ -99,6 +104,23 @@ def _read_scores(path):
     return scores, np.array(labels, dtype=np.int64)
 
 
+def _parse_count(text):
+    """The integer in ``text`` as a float; OverflowError beyond any float.
+
+    int() refuses an integer longer than Python's integer-string digit
+    limit; float() reads one of any length, rounded as float(int()) rounds.
+    """
+    try:
+        return float(int(text))
+    except ValueError:
+        if not _INTEGER.fullmatch(text):
+            raise
+    n = float(text)
+    if math.isinf(n):
+        raise OverflowError(text)
+    return n
+
+
 def _read_counts(path, num_classes):
     counts = np.zeros(num_classes)
     listed = np.zeros(num_classes, dtype=bool)
@@ -109,18 +131,17 @@ def _read_counts(path, num_classes):
             if len(row) != 2:
                 raise FormatError(f"{path}: line {lineno}: expected class,count")
             try:
-                c, n = int(row[0]), int(row[1])
+                c, n = int(row[0]), _parse_count(row[1])
             except ValueError:
                 raise FormatError(f"{path}: line {lineno}: non-integer value") from None
+            except OverflowError:
+                raise FormatError(f"{path}: line {lineno}: count too large for a float") from None
             if not 0 <= c < num_classes:
                 raise FormatError(f"{path}: line {lineno}: class {c} out of range")
             if listed[c]:
                 raise FormatError(f"{path}: line {lineno}: class {c} listed twice")
             listed[c] = True
-            try:
-                counts[c] = n
-            except OverflowError:
-                raise FormatError(f"{path}: line {lineno}: count too large for a float") from None
+            counts[c] = n
     bad = np.flatnonzero(counts <= 0)
     if len(bad):
         raise FormatError(

@@ -38,74 +38,150 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 HERD_TIE_MARGIN = 8 * _UNIT_ROUNDOFF
 
 
+def gram_error_bound(d, w_sq):
+    """How far a squared distance in Gram form may be from the direct one.
+
+    For a - b in ``d`` dimensions, with W = |a| + |b| and W^2 <= ``w_sq``, the
+    Gram form |a|^2 - 2 a.b + |b|^2 rounds within about (d + 9) u W^2 of the
+    exact value and the direct sum of squared differences within about
+    (d + 7) u W^2 (u the unit roundoff; the usual summation bounds, which
+    hold in any summation order). The bound doubles their sum; the tiny term
+    covers underflow.
+    """
+    return 4 * (d + 8) * (_UNIT_ROUNDOFF * w_sq + _TINY)
+
+
 def _screen(gram, err):
-    """Rows whose exact squared distance may be the smallest.
+    """Mask of the rows whose exact squared distance may be their class's least.
 
-    Row i's exact squared distance lies within ``err`` of ``gram[i]``. A row
-    is dropped only if its lower bound exceeds the smallest upper bound by
-    more than HERD_TIE_MARGIN, so its sqrt is strictly larger than some
-    other row's and it cannot win even a tie.
+    Each row of ``gram`` is one class (a 1-D ``gram`` is one class), and
+    class k's exact squared distances lie within ``err[k]`` of its entries.
+    An entry is dropped only if its lower bound exceeds the class's smallest
+    upper bound by more than HERD_TIE_MARGIN, so its sqrt is strictly larger
+    than some other row's and it cannot win even a tie.
     """
-    limit = (gram.min() + err) * (1 + HERD_TIE_MARGIN)
-    return np.flatnonzero(gram - err <= limit)
+    err = np.asarray(err)[..., None]
+    limit = (gram.min(axis=-1, keepdims=True) + err) * (1 + HERD_TIE_MARGIN)
+    return gram - err <= limit
 
 
-def herd_order(class_features, count):
-    """First ``count`` picks of the greedy running-mean herding order.
+def herd_order(features, class_rows, counts):
+    """The greedy running-mean herding order of several classes, advanced together.
 
-    At step t the unchosen sample whose inclusion brings the running mean
-    closest (L2) to the class mean is picked; ties break to the lowest
-    index. Each pick depends only on the earlier ones, so stopping after
-    ``min(count, n)`` steps gives exactly the prefix of the full order.
+    Class k is the rows ``class_rows[k]`` of ``features``, and ``counts[k]``
+    says how many of them to pick. The result holds the picked row ids,
+    class after class, ``min(counts[k], len(class_rows[k]))`` of class k.
+    Within a class, step t picks the unchosen row whose inclusion brings the
+    running mean closest (L2) to the class mean; ties break to the row that
+    comes first in ``class_rows[k]``. Each pick depends only on the earlier
+    ones, so stopping early gives exactly the prefix of the full order.
 
-    Classes of at least HERD_SCREEN_MIN values first screen the rows in
-    Gram form: with g = running/t - mu, row i's squared distance is
-    |f_i|^2/t^2 + 2 f_i.g/t + |g|^2, one matrix-vector product per step.
-    Only rows the screen cannot rule out are evaluated with the direct
-    expression, so the screen is exact: its picks are those of the direct
-    expression over all rows. The screen's error bound covers the rounding
-    of both forms, and its margin keeps any row the sqrt could tie; a loose
-    bound only widens the set of rows evaluated directly.
+    Each step advances every class with picks left. Classes of at least
+    HERD_SCREEN_MIN values first screen their rows in Gram form, one batched
+    matrix-vector product for all of them: with g = running/t - mu, row i's
+    squared distance is |f_i|^2/t^2 + 2 f_i.g/t + |g|^2. The rows a screen
+    cannot rule out and every untaken row of the other classes are then
+    evaluated together with the direct expression, and each class takes its
+    least. The screen is exact: its picks are those of the direct expression
+    over all rows, since its error bound (gram_error_bound) covers the
+    rounding of both forms and its margin keeps any row the sqrt could tie.
+    A taken row is never a candidate again, even when distances overflow.
     """
-    feats = np.asarray(class_features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] < 1:
-        raise ParameterError("herd_order needs at least one feature vector")
-    if count < 0:
+    features = np.asarray(features, dtype=np.float64)
+    class_rows = [np.asarray(r, dtype=np.int64).reshape(-1) for r in class_rows]
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+    if features.ndim != 2:
+        raise ParameterError("herd_order needs a 2-D feature matrix")
+    if len(counts) != len(class_rows):
+        raise ParameterError("herd_order needs one count per class")
+    if any(len(r) == 0 for r in class_rows):
+        raise ParameterError("herd_order needs at least one feature vector per class")
+    if np.any(counts < 0):
         raise ParameterError("count must be >= 0")
-    n, d = feats.shape
-    steps = min(count, n)
-    mu = feats.mean(axis=0)
-    order = np.empty(steps, dtype=np.int64)
-    running = np.zeros(d)
-    available = np.ones(n, dtype=bool)
-    sq_norms = np.einsum("ij,ij->i", feats, feats)
-    # the bound below is valid while no intermediate can overflow
-    screened = feats.size >= HERD_SCREEN_MIN and sq_norms.max() < np.finfo(np.float64).max / 64
-    if screened:
-        max_norm = np.sqrt(sq_norms.max())
-        mu_norm = np.sqrt(mu @ mu)
-        # With W = |f_i|/t + |running|/t + |mu|, which bounds every operand,
-        # the direct expression rounds its sum of squares within about
-        # (d + 7) u W^2 of the exact value and the Gram form within about
-        # (d + 9) u W^2 (u the unit roundoff; the usual summation bounds).
-        # coef doubles their sum; the tiny term covers underflow. W uses the
-        # largest row norm, so one bound serves every row.
-        coef = 4 * (d + 8)
-    for t in range(1, steps + 1):
-        if screened:
-            scaled = running / t
-            g = scaled - mu
-            gram = sq_norms / (t * t) + (feats @ g) * (2 / t) + g @ g
-            w = max_norm / t + np.sqrt(scaled @ scaled) + mu_norm
-            cand = _screen(gram, coef * (_UNIT_ROUNDOFF * w * w + _TINY))
-        else:
-            cand = np.flatnonzero(available)
-        dists = np.sqrt((((running + feats[cand]) / t - mu) ** 2).sum(axis=1))
-        pick = int(cand[np.argmin(dists)])
-        order[t - 1] = pick
-        available[pick] = False
-        sq_norms[pick] = np.inf
-        running += feats[pick]
+    sizes = np.array([len(r) for r in class_rows], dtype=np.int64)
+    steps = np.minimum(counts, sizes)
+    order = np.empty(int(steps.sum()), dtype=np.int64)
+    if not len(order):
+        return order
+
+    d = features.shape[1]
+    mu = np.zeros((len(class_rows), d))
+    max_sq = np.zeros(len(class_rows))  # largest squared row norm
+    for c in np.flatnonzero(steps):
+        own = features[class_rows[c]]
+        mu[c] = own.mean(axis=0)
+        max_sq[c] = np.einsum("ij,ij->i", own, own).max()
+    # the bound is valid while no intermediate can overflow
+    screened = (sizes * d >= HERD_SCREEN_MIN) & (max_sq < np.finfo(np.float64).max / 64)
+    # one lane per class with picks to make: screened lanes first, each group
+    # by steps descending, so the lanes still active at step t are a prefix
+    lanes = np.lexsort((-steps, ~screened))
+    lanes = lanes[steps[lanes] > 0]
+    lane_steps, lane_sizes = steps[lanes], sizes[lanes]
+    n_screened = int(screened[lanes].sum())
+
+    # The store holds every lane's rows: the screened lanes padded to `width`
+    # rows each, so that they stack into one (lanes, width, d) array, then
+    # the other lanes back to back. Padding repeats a real row (norm inf).
+    width = int(lane_sizes[:n_screened].max(initial=0))
+    padded = n_screened * width
+    slot_counts = np.append(np.full(n_screened, width), lane_sizes[n_screened:])
+    lane_start = np.cumsum(slot_counts) - slot_counts
+    direct_end = lane_start[n_screened:] + lane_sizes[n_screened:]
+    rows = np.concatenate([class_rows[c] for c in lanes])
+    slots = np.repeat(lane_start - (np.cumsum(lane_sizes) - lane_sizes), lane_sizes)
+    slots += np.arange(len(rows))
+    source = np.full(int(slot_counts.sum()), rows[0])
+    source[slots] = rows
+    store = features[source]
+    lane_of = np.repeat(np.arange(len(lanes)), slot_counts)
+    norms = np.full(len(source), np.inf)  # inf marks padding and taken rows
+    norms[slots] = np.einsum("ij,ij->i", store, store)[slots]
+    available = np.zeros(len(source), dtype=bool)
+    available[slots] = True
+
+    mu = mu[lanes]
+    running = np.zeros_like(mu)
+    first_out = (np.cumsum(steps) - steps)[lanes]
+    stack = store[:padded].reshape(n_screened, width, d)
+    stack_norms = norms[:padded].reshape(n_screened, width)
+    max_norm = np.sqrt(max_sq[lanes[:n_screened]])
+    mu_norm = np.sqrt(np.einsum("ij,ij->i", mu[:n_screened], mu[:n_screened]))
+    least = np.empty(len(lanes))
+    for t in range(1, int(lane_steps.max()) + 1):
+        active = np.flatnonzero(lane_steps >= t)
+        n_s = int(np.searchsorted(active, n_screened))
+        n_d = len(active) - n_s
+        parts = []
+        if n_s:
+            scaled = running[:n_s] / t
+            g = scaled - mu[:n_s]
+            gram = (
+                stack_norms[:n_s] / (t * t)
+                + np.matmul(stack[:n_s], g[:, :, None])[:, :, 0] * (2 / t)
+                + np.einsum("ij,ij->i", g, g)[:, None]
+            )
+            # W = max|f_i|/t + |running|/t + |mu| bounds |f_i/t| + |g| for
+            # every row, so one bound serves the whole class
+            w = max_norm[:n_s] / t + np.sqrt(np.einsum("ij,ij->i", scaled, scaled)) + mu_norm[:n_s]
+            parts.append(np.flatnonzero(_screen(gram, gram_error_bound(d, w * w))))
+        if n_d:
+            parts.append(np.flatnonzero(available[padded : direct_end[n_d - 1]]) + padded)
+        cand = np.concatenate(parts)
+        cand_lane = lane_of[cand]
+        dists = np.sqrt(
+            (((running[cand_lane] + store[cand]) / t - mu[cand_lane]) ** 2).sum(axis=1)
+        )
+        dists[np.isnan(dists)] = -1.0  # argmin takes the first NaN
+        # candidates run lane by lane in slot order: each lane's first least
+        first = np.searchsorted(cand_lane, active)
+        least[active] = np.minimum.reduceat(dists, first)
+        hits = np.flatnonzero(dists == least[cand_lane])
+        won = cand[hits[np.searchsorted(hits, first)]]  # one per active lane
+        order[first_out[active] + t - 1] = source[won]
+        running[active] += store[won]
+        norms[won] = np.inf
+        available[won] = False
     return order
 
 
@@ -120,22 +196,24 @@ def class_quotas(capacity, class_ids):
 def admit_and_rebalance(buffer, table, new_ids):
     """Add the classes ``new_ids`` and shrink old quotas to fit the capacity.
 
-    Old classes keep a prefix of their stored rows; each new class is
-    herded fresh over its train and val rows of ``table``, only as far as
-    its quota.
+    Old classes keep a prefix of their stored rows; the new classes are
+    herded fresh, together, over their train and val rows of ``table``,
+    each only as far as its quota.
     """
     overlap = set(new_ids) & set(buffer.classes)
     if overlap:
         raise ParameterError(f"classes already stored: {sorted(overlap)}")
     quotas = class_quotas(buffer.capacity, set(buffer.classes) | set(new_ids))
     herdable = table.splits != TEST
-    classes = {}
-    for c, q in quotas.items():
-        if c in buffer.classes:
-            classes[c] = buffer.classes[c][:q]
-        else:
-            rows = np.flatnonzero((table.labels == c) & herdable)
-            classes[c] = rows[herd_order(table.features[rows], q)]
+    new = [c for c in quotas if c not in buffer.classes]
+    rows = [np.flatnonzero((table.labels == c) & herdable) for c in new]
+    herded = herd_order(table.features, rows, [quotas[c] for c in new])
+    taken = [min(quotas[c], len(r)) for c, r in zip(new, rows)]
+    herded = iter(np.split(herded, np.cumsum(taken, dtype=np.int64)[:-1]))
+    classes = {
+        c: buffer.classes[c][:q] if c in buffer.classes else next(herded)
+        for c, q in quotas.items()
+    }
     return MemoryBuffer(buffer.capacity, classes)
 
 

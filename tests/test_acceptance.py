@@ -215,7 +215,8 @@ def test_8_memory_respects_capacity_prefix_and_first_pick():
         feats = rng.normal(size=(int(rng.integers(2, 25)), 4))
         mu = feats.mean(axis=0)
         dists = np.linalg.norm(feats - mu, axis=1)
-        assert dists[herd_order(feats, len(feats))[0]] == pytest.approx(dists.min())
+        first = herd_order(feats, [np.arange(len(feats))], [len(feats)])[0]
+        assert dists[first] == pytest.approx(dists.min())
     print("\nPASS criterion 8: memory stays within capacity, truncation keeps "
           "prefixes, and the first exemplar is the mean-closest sample")
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -330,6 +332,22 @@ class TestNem:
         dist = distance.cdist(features, means)
         assert np.allclose(out, 1.0 / (dist + NEM_EPSILON), rtol=1e-12, atol=0)
         assert np.array_equal(predict(out), dist.argmin(axis=1))
+
+    def test_peak_memory_is_the_output_and_a_block(self):
+        # no temporary is larger than one block's (rows, N): the peak stays
+        # below 1.5 times the (n, N) output, where one block's (rows, N, d)
+        # difference tensor alone would be 5.5 times it
+        gen = np.random.default_rng(0)
+        state = CalibratorState("nem", {"means": gen.normal(size=(500, 256))})
+        features = gen.normal(size=(3000, 256))
+        tracemalloc.start()
+        try:
+            out = apply_nem(state, features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (3000, 500)
+        assert peak < 1.5 * out.nbytes
 
 
 class TestBalanced:

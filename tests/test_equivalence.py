@@ -4,7 +4,7 @@ Each oracle below is the plain implementation the fast one replaced:
 list-based PAVA, Platt's one-class Newton fit that re-evaluates the
 likelihood at every step (the fast fit runs blocks of classes in
 lockstep), the scalar Fisher-Jenks DP, nem's full (n, N, d) difference
-tensor, herding that orders every row of a class, SGD that takes the
+tensor, herding that orders every row of one class, SGD that takes the
 softmax and the loss with an exp each, the feature and score CSV
 loaders that call ``float`` on each ``csv.reader`` cell, the th and mb
 applies that preceded the shared per-class factor multiply, nem and
@@ -13,6 +13,13 @@ that drew, scanned and relabeled one class at a time. The fast
 versions perform the same IEEE operations on the same operands, so
 results must match bit for bit (``tobytes()``), not merely to a
 tolerance; the loaders must also fail with the same message and line.
+One exception: nem takes its distances in Gram form, which keeps the
+direct form's bits only where it falls back to it, and is otherwise held
+to NEM_RTOL (relative) and the same argmax.
+
+Two oracles do not share the code's maths: herding's greedy definition
+in exact ``Fraction`` arithmetic, and one full-batch SGD step against
+W - lr * grad with the gradient from scipy's finite differences.
 """
 
 import csv
@@ -20,6 +27,7 @@ import json
 import math
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -34,6 +42,7 @@ from imbcal.breaks import _check, _result, fisher_jenks
 from imbcal.calibration import (
     NEM_CHUNK_ROWS,
     NEM_EPSILON,
+    NEM_RTOL,
     PLATT_BLOCK_ELEMENTS,
     PLATT_GRAD_TOL,
     PLATT_MAX_ITER,
@@ -692,15 +701,53 @@ def test_fisher_jenks_at_200_values_for_every_l(L):
 # nem
 
 
+def _nem_case(rows, seed):
+    """Test rows at random, plus rows on and 1e-9 from a mean, where Gram cancels."""
+    gen = np.random.default_rng(seed)
+    means = gen.normal(size=(7, 11)) * 3 + 5
+    features = gen.normal(size=(rows, 11)) * 3 + 5
+    features[::3] = means[np.arange(0, rows, 3) % 7]
+    features[1::3] = means[np.arange(1, rows, 3) % 7] + 1e-9
+    return means, features
+
+
 @pytest.mark.parametrize(
     "rows", [1, NEM_CHUNK_ROWS - 1, NEM_CHUNK_ROWS, NEM_CHUNK_ROWS + 1, 2 * NEM_CHUNK_ROWS + 3]
 )
-def test_apply_nem_is_bitwise_equal_across_chunk_boundaries(rows):
-    rng = np.random.default_rng(rows)
-    means = rng.normal(size=(7, 11))
-    features = rng.normal(size=(rows, 11)) * 3
+def test_apply_nem_matches_the_direct_form_across_chunk_boundaries(rows):
+    means, features = _nem_case(rows, rows)
     out = apply_nem(CalibratorState("nem", {"means": means}), features)
-    assert _same(out, oracle_apply_nem(means, features))
+    expected = oracle_apply_nem(means, features)
+    assert np.all(np.abs(out - expected) <= NEM_RTOL * expected)
+    assert _same(out.argmax(axis=1), expected.argmax(axis=1))
+    # entries whose Gram rounding bound exceeds NEM_RTOL of any value Gram
+    # can give are recomputed with the direct form, so keep its bits
+    exact = ((features[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    norms = (features**2).sum(axis=1)[:, None] + (means**2).sum(axis=1)
+    bound = memory.gram_error_bound(means.shape[1], 2 * norms)
+    direct = bound > NEM_RTOL * (exact + bound)
+    assert direct.any()
+    assert _same(out[direct], expected[direct])
+
+
+def test_apply_nem_scores_a_row_on_a_mean_exactly():
+    means = np.random.default_rng(0).normal(size=(5, 16)) * 10 + 100
+    out = apply_nem(CalibratorState("nem", {"means": means}), means[[3, 1]])
+    assert out[0, 3] == 1.0 / NEM_EPSILON and out[1, 1] == 1.0 / NEM_EPSILON
+    assert _same(out, oracle_apply_nem(means, means[[3, 1]]))
+
+
+def test_apply_nem_keeps_the_direct_bits_a_hair_from_a_mean():
+    # 4e-9 from a mean of norm ~40: the exact score is 2.50e8, and the Gram
+    # form alone cancels to a value of no use (one build gave 1.19e7)
+    means = np.random.default_rng(1).normal(size=(5, 16)) * 10
+    features = means[2:3] + 1e-9
+    expected = oracle_apply_nem(means, features)
+    assert expected[0, 2] == pytest.approx(2.5e8, rel=1e-3)
+    x, mu = features[0], means[2]
+    gram = max(x @ x - 2 * (x @ mu) + mu @ mu, 0.0)
+    assert not math.isclose(1.0 / (math.sqrt(gram) + NEM_EPSILON), expected[0, 2], rel_tol=0.01)
+    assert _same(apply_nem(CalibratorState("nem", {"means": means}), features), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +1025,7 @@ def test_herd_order_is_the_prefix_of_the_full_order(n, d, data, rounded):
     if rounded:  # tied rows and tied candidate distances
         feats = np.round(feats / 4)
     q = data.draw(st.integers(0, n + 3))
-    assert _same(herd_order(feats, q), oracle_herd_order(feats)[:q])
+    assert _same(herd_order(feats, [np.arange(len(feats))], [q]), oracle_herd_order(feats)[:q])
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -986,7 +1033,7 @@ def test_herd_order_is_the_prefix_of_the_full_order(n, d, data, rounded):
 def test_herd_order_prefix_at_the_edges(d, q):
     # 30 rows rounded to a few grid points: many exact ties
     feats = np.round(np.random.default_rng(d).normal(size=(30, d)))
-    assert _same(herd_order(feats, q), oracle_herd_order(feats)[:q])
+    assert _same(herd_order(feats, [np.arange(len(feats))], [q]), oracle_herd_order(feats)[:q])
 
 
 def test_herd_order_keeps_the_sqrt_that_ties_rounded_distances():
@@ -996,22 +1043,22 @@ def test_herd_order_keeps_the_sqrt_that_ties_rounded_distances():
     feats = np.array([[1.8, 0.3], [-0.1, 1.4]])
     squared = ((feats - feats.mean(axis=0)) ** 2).sum(axis=1)
     assert squared[1] < squared[0] and np.sqrt(squared[1]) == np.sqrt(squared[0])
-    assert herd_order(feats, 1).tolist() == [0]
-    assert _same(herd_order(feats, 2), oracle_herd_order(feats))
+    assert herd_order(feats, [np.arange(len(feats))], [1]).tolist() == [0]
+    assert _same(herd_order(feats, [np.arange(len(feats))], [2]), oracle_herd_order(feats))
 
 
 def test_screen_keeps_the_rows_the_sqrt_ties():
     # the case above, screened
     feats = np.array([[1.8, 0.3], [-0.1, 1.4]])
     with mock.patch.object(memory, "HERD_SCREEN_MIN", 0):
-        assert _same(herd_order(feats, 2), oracle_herd_order(feats))
+        assert _same(herd_order(feats, [np.arange(len(feats))], [2]), oracle_herd_order(feats))
     # were the Gram form exact (no error bound), the tie margin alone must
     # keep row 0, whose squared distance is an ulp larger
     squared = ((feats - feats.mean(axis=0)) ** 2).sum(axis=1)
     assert squared[0] > squared[1]
-    assert _screen(squared, 0.0).tolist() == [0, 1]
+    assert np.flatnonzero(_screen(squared, 0.0)).tolist() == [0, 1]
     # rows beyond the margin go
-    assert _screen(np.array([1.0, 1.0 + 1e-14, np.inf]), 0.0).tolist() == [0]
+    assert np.flatnonzero(_screen(np.array([1.0, 1.0 + 1e-14, np.inf]), 0.0)).tolist() == [0]
 
 
 # the screen: hypothesis cases with every class screened
@@ -1039,7 +1086,7 @@ def test_screened_herd_order_is_the_prefix_of_the_full_order(
     feats = feats * scale + offset
     q = data.draw(st.integers(0, n + 3))
     with mock.patch.object(memory, "HERD_SCREEN_MIN", 0):
-        got = herd_order(feats, q)
+        got = herd_order(feats, [np.arange(len(feats))], [q])
     assert _same(got, oracle_herd_order(feats)[:q])
 
 
@@ -1051,7 +1098,7 @@ def test_herd_order_screens_full_size_classes(seed, offset):
     assert feats.size >= HERD_SCREEN_MIN
     expected = oracle_herd_order(feats)
     for q in (1, 50, 114, 450):
-        assert _same(herd_order(feats, q), expected[:q])
+        assert _same(herd_order(feats, [np.arange(len(feats))], [q]), expected[:q])
 
 
 def test_herd_order_never_repeats_a_row_when_distances_overflow():
@@ -1060,7 +1107,121 @@ def test_herd_order_never_repeats_a_row_when_distances_overflow():
     feats = np.random.default_rng(0).normal(size=(5, 3)) * 1e200
     with np.errstate(over="ignore"):
         assert oracle_herd_order(feats).tolist()[:2] == [0, 0]
-        assert sorted(herd_order(feats, 5).tolist()) == [0, 1, 2, 3, 4]
+        assert sorted(herd_order(feats, [np.arange(len(feats))], [5]).tolist()) == [0, 1, 2, 3, 4]
+
+
+
+def test_herd_order_takes_the_first_nan_as_argmin_does():
+    # the class mean overflows to inf, so from step 2 on some candidate
+    # distances are inf - inf = NaN; argmin took the first of them, and so
+    # does the lockstep step, next to a class whose distances are finite
+    feats = np.array([[1.7e308], [1.6e308], [1.5e308], [-1e308], [1.0], [2.0], [4.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = oracle_herd_order(feats[:4])
+        got = herd_order(feats, [np.arange(4), np.arange(4, 7)], [4, 3])
+    assert expected.tolist() == [0, 1, 2, 3]
+    assert got.tolist() == [0, 1, 2, 3] + (4 + oracle_herd_order(feats[4:])).tolist()
+
+
+# lockstep: several classes in one call
+
+
+def fraction_herd_order(class_features, count):
+    """The greedy definition in exact rational arithmetic, on integer features.
+
+    Returns the picks up to ``count``, stopping before the first step whose
+    least exact distance is shared by two rows: there the float code breaks
+    the tie by whichever rounds lower, which the definition does not fix.
+    """
+    rows = [[Fraction(int(v)) for v in r] for r in class_features]
+    d = len(rows[0])
+    mu = [sum(r[j] for r in rows) / len(rows) for j in range(d)]
+    running = [Fraction(0)] * d
+    picks = []
+    for t in range(1, min(count, len(rows)) + 1):
+        dist = {
+            i: sum(((running[j] + r[j]) / t - mu[j]) ** 2 for j in range(d))
+            for i, r in enumerate(rows) if i not in picks
+        }
+        least = min(dist.values())
+        winners = [i for i, v in dist.items() if v == least]
+        if len(winners) > 1:
+            break
+        picks.append(winners[0])
+        running = [a + b for a, b in zip(running, rows[winners[0]])]
+    return picks
+
+
+def _lockstep_case(gen, sizes, d, values):
+    """Classes of the given sizes, their rows shuffled into one matrix."""
+    feats = [values(gen, (n, d)) for n in sizes]
+    perm = gen.permutation(sum(sizes))
+    table = np.concatenate(feats)[perm]
+    class_rows = np.split(np.argsort(perm), np.cumsum(sizes)[:-1])
+    return feats, table, class_rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 10, HERD_SCREEN_MIN]),
+)
+def test_lockstep_herd_order_is_the_exact_greedy_order(sizes, d, seed, screen_min):
+    gen = np.random.default_rng(seed)
+    feats, table, class_rows = _lockstep_case(
+        gen, sizes, d, lambda g, shape: g.integers(-3, 4, size=shape).astype(np.float64)
+    )
+    counts = [int(gen.integers(0, n + 3)) for n in sizes]  # some above the class size
+    with mock.patch.object(memory, "HERD_SCREEN_MIN", screen_min):
+        got = herd_order(table, class_rows, counts)
+    assert len(got) == sum(min(q, n) for q, n in zip(counts, sizes))
+    at = 0
+    for f, rows, q in zip(feats, class_rows, counts):
+        expected = fraction_herd_order(f, q)
+        assert got[at : at + len(expected)].tolist() == rows[expected].tolist()
+        at += min(q, len(f))
+
+
+def test_lockstep_herd_order_screens_some_classes_and_not_others():
+    # five classes of different sizes; with HERD_SCREEN_MIN at 20 and d = 3,
+    # the classes of 7 rows and more are screened and the others are not
+    gen = np.random.default_rng(0)
+    sizes, counts = [1, 4, 7, 12, 9], [1, 6, 5, 12, 30]
+    feats, table, class_rows = _lockstep_case(
+        gen, sizes, 3, lambda g, shape: g.integers(-9, 10, size=shape).astype(np.float64)
+    )
+    with mock.patch.object(memory, "HERD_SCREEN_MIN", 20):
+        got = herd_order(table, class_rows, counts)
+    expected = [rows[fraction_herd_order(f, q)] for f, rows, q in zip(feats, class_rows, counts)]
+    assert [len(e) for e in expected] == [1, 4, 5, 12, 9]  # no exact ties here
+    assert got.tolist() == np.concatenate(expected).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 30), min_size=1, max_size=5),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["plain", "rounded"]),
+    st.sampled_from([0.0, 1e6]),
+    st.sampled_from([0, 40, HERD_SCREEN_MIN]),
+)
+def test_lockstep_herd_order_is_each_class_on_its_own(sizes, d, seed, shape, offset, screen_min):
+    # bit for bit the full-order loop of each class alone, ties included
+    gen = np.random.default_rng(seed)
+
+    def values(g, size):
+        v = g.normal(size=size) * 3
+        return (np.round(v) if shape == "rounded" else v) + offset
+
+    feats, table, class_rows = _lockstep_case(gen, sizes, d, values)
+    counts = [int(gen.integers(0, n + 3)) for n in sizes]
+    with mock.patch.object(memory, "HERD_SCREEN_MIN", screen_min):
+        got = herd_order(table, class_rows, counts)
+    expected = [rows[oracle_herd_order(f)[:q]] for f, rows, q in zip(feats, class_rows, counts)]
+    assert _same(got, np.concatenate(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -1110,6 +1271,30 @@ def test_train_matches_through_plateau_decay(batch_size):
     expected, final_lr = oracle_train(model, table, config)
     assert final_lr < config.initial_lr
     assert _same_model(train(model, table, config), expected)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_full_batch_step_is_w_minus_lr_times_the_gradient(seed):
+    # one full-batch epoch is one step down the mean cross-entropy; the
+    # gradient comes from finite differences (forward, step 1e-7), so the
+    # step agrees to 1e-6
+    optimize = pytest.importorskip("scipy.optimize")
+    model, table = _train_case(40, 4, 3, seed)
+    part = table.only(split=TRAIN)
+    classes, dim = model.weights.shape
+    lr = 0.5
+
+    def mean_loss(theta):
+        weights, biases = theta[: classes * dim].reshape(classes, dim), theta[classes * dim :]
+        return _oracle_mean_loss(part.features @ weights.T + biases, part.labels)
+
+    theta = np.concatenate([model.weights.ravel(), model.biases])
+    step = theta - lr * optimize.approx_fprime(theta, mean_loss, 1e-7)
+    config = TrainConfig(epochs=1, initial_lr=lr, batch_size=len(part), seed=seed)
+    stepped = train(model, table, config)
+    got = np.concatenate([stepped.weights.ravel(), stepped.biases])
+    assert np.abs(got - theta).max() > 1e-2  # the step is not negligible
+    np.testing.assert_allclose(got, step, rtol=0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

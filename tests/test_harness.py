@@ -545,6 +545,34 @@ class TestCli:
         assert "c.csv: line 2: count too large for a float" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("method", ["th", "fj"])
+    def test_calibrate_count_past_the_int_digit_limit_exit_3(self, tmp_path, capsys, method):
+        # int() refuses integers of more than 4300 digits with a ValueError,
+        # which is no reason to call the count a non-integer
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,s0,s1\n0,2.0,1.0\n1,1.0,2.0\n")
+        counts = tmp_path / "c.csv"
+        counts.write_text(f"0,5\n1,{'9' * 5000}\n")
+        assert main(["calibrate", "--method", method, "--scores", str(scores),
+                     "--counts", str(counts)]) == 3
+        err = capsys.readouterr().err
+        assert "c.csv: line 2: count too large for a float" in err
+        assert "Traceback" not in err
+
+    def test_calibrate_count_with_5000_leading_zeros_is_read(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,s0,s1\n0,2.0,1.0\n1,1.0,2.0\n")
+        counts = tmp_path / "c.csv"
+        counts.write_text(f"0,5\n1,{'0' * 5000}3\n")
+        short = tmp_path / "short.csv"
+        short.write_text("0,5\n1,3\n")
+        outputs = []
+        for path in (counts, short):
+            assert main(["calibrate", "--method", "th", "--scores", str(scores),
+                         "--counts", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_calibrate_mb_overlapping_old_and_new_exit_2(self, tmp_path, capsys):
         scores = tmp_path / "s.csv"
         scores.write_text("label,s0,s1,s2\n0,2.0,1.0,0.5\n1,1.0,2.0,0.5\n2,0.5,1.0,2.0\n")

@@ -25,20 +25,20 @@ def table_for(class_sizes, dim=3, seed=0):
 
 class TestHerdOrder:
     def test_single_sample(self):
-        assert herd_order(np.array([[1.0, 2.0]]), 1).tolist() == [0]
+        assert herd_order(np.array([[1.0, 2.0]]), [[0]], [1]).tolist() == [0]
 
     def test_hand_worked_example(self):
         # mean is (1,1); step-1 distances are sqrt(2), 1, 1, sqrt(8) so the
         # tie between indices 1 and 2 breaks low; remaining picks follow
         # the running-mean objective
         feats = np.array([[0, 0], [1, 0], [0, 1], [3, 3]], dtype=float)
-        assert herd_order(feats, len(feats)).tolist() == [1, 2, 3, 0]
+        assert herd_order(feats, [np.arange(4)], [4]).tolist() == [1, 2, 3, 0]
 
     def test_prefix_property(self):
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(12, 4))
-        full = herd_order(feats, len(feats))
-        assert full[:5].tolist() == herd_order(feats, 5)[:5].tolist()
+        full = herd_order(feats, [np.arange(12)], [12])
+        assert full[:5].tolist() == herd_order(feats, [np.arange(12)], [5])[:5].tolist()
 
     def test_first_pick_minimizes_distance_to_mean(self):
         rng = np.random.default_rng(7)
@@ -46,20 +46,36 @@ class TestHerdOrder:
             feats = rng.normal(size=(rng.integers(2, 20), 3))
             mu = feats.mean(axis=0)
             dists = np.linalg.norm(feats - mu, axis=1)
-            first = herd_order(feats, len(feats))[0]
+            first = herd_order(feats, [np.arange(len(feats))], [len(feats)])[0]
             assert dists[first] == pytest.approx(dists.min())
 
     def test_deterministic_pure(self):
         feats = np.random.default_rng(1).normal(size=(9, 2))
-        assert herd_order(feats, len(feats)).tolist() == herd_order(feats, len(feats)).tolist()
+        once = herd_order(feats, [np.arange(9)], [9]).tolist()
+        assert once == herd_order(feats, [np.arange(9)], [9]).tolist()
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            herd_order(np.empty((0, 2)), 0)
+            herd_order(np.empty((0, 2)), [np.arange(0)], [0])
 
     def test_negative_count_rejected(self):
         with pytest.raises(ParameterError):
-            herd_order(np.ones((3, 2)), -1)
+            herd_order(np.ones((3, 2)), [np.arange(3)], [-1])
+
+    def test_one_count_per_class(self):
+        with pytest.raises(ParameterError, match="one count per class"):
+            herd_order(np.ones((3, 2)), [[0, 1], [2]], [1])
+
+    def test_no_classes_no_picks(self):
+        out = herd_order(np.ones((3, 2)), [], [])
+        assert out.dtype == np.int64 and out.tolist() == []
+
+    def test_classes_follow_each_other_as_row_ids(self):
+        # two classes in interleaved rows: each class's picks are its own row
+        # ids, in its herded order, and the first class's come first
+        feats = np.array([[0, 0], [9, 9], [1, 0], [9, 8], [0, 1], [3, 3]], dtype=float)
+        out = herd_order(feats, [[0, 2, 4, 5], [1, 3]], [4, 1])
+        assert out.tolist() == [2, 4, 5, 0, 1]
 
 
 class TestQuotas:
@@ -121,7 +137,8 @@ class TestAdmitAndRebalance:
         for c, rows in buf.classes.items():
             assert np.all(t.labels[rows] == c) and np.all(t.splits[rows] != "test")
             own = t.only(split=("train", "val"), classes=[c]).features
-            assert np.array_equal(t.features[rows], own[herd_order(own, len(rows))])
+            picks = herd_order(own, [np.arange(len(own))], [len(rows)])
+            assert np.array_equal(t.features[rows], own[picks])
 
 
 class TestMemoryDataset:
