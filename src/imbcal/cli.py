@@ -121,6 +121,20 @@ def _parse_count(text):
     return n
 
 
+def _class_id(text, num_classes):
+    """The integer in ``text``, or None if it has more digits than any class id.
+
+    ValueError if ``text`` is no integer. A longer id is out of range unread,
+    so int()'s digit limit never applies and no message prints it.
+    """
+    if not _INTEGER.fullmatch(text):
+        return int(text)  # ValueError, or an id in digits beyond ASCII
+    digits = text.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if len(digits) > len(str(num_classes)):
+        return None
+    return int(digits or "0") * (-1 if text.strip()[0] == "-" else 1)
+
+
 def _read_counts(path, num_classes):
     counts = np.zeros(num_classes)
     listed = np.zeros(num_classes, dtype=bool)
@@ -131,11 +145,13 @@ def _read_counts(path, num_classes):
             if len(row) != 2:
                 raise FormatError(f"{path}: line {lineno}: expected class,count")
             try:
-                c, n = int(row[0]), _parse_count(row[1])
+                c, n = _class_id(row[0], num_classes), _parse_count(row[1])
             except ValueError:
                 raise FormatError(f"{path}: line {lineno}: non-integer value") from None
             except OverflowError:
                 raise FormatError(f"{path}: line {lineno}: count too large for a float") from None
+            if c is None:
+                raise FormatError(f"{path}: line {lineno}: class id out of range, too many digits")
             if not 0 <= c < num_classes:
                 raise FormatError(f"{path}: line {lineno}: class {c} out of range")
             if listed[c]:
@@ -154,10 +170,10 @@ def _parse_ids(text, num_classes, option):
     if text is None:
         raise ParameterError(f"--{option} is required for this method")
     try:
-        ids = tuple(int(v) for v in text.split(",")) if text else ()
+        ids = tuple(_class_id(v, num_classes) for v in text.split(",")) if text else ()
     except ValueError:
         raise ParameterError(f"--{option}: class ids must be comma-separated integers") from None
-    if any(not 0 <= c < num_classes for c in ids):
+    if any(c is None or not 0 <= c < num_classes for c in ids):
         raise ParameterError(f"--{option}: class id out of range")
     return ids
 

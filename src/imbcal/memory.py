@@ -28,10 +28,6 @@ class MemoryBuffer:
         return MemoryBuffer(capacity, {})
 
 
-# classes with at least this many feature values (rows x dims) screen
-# herding candidates in Gram form; smaller ones evaluate every row not taken
-HERD_SCREEN_MIN = 6400
-
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).smallest_subnormal
 # squared distances further apart than this (relative) cannot tie after sqrt
@@ -76,16 +72,18 @@ def herd_order(features, class_rows, counts):
     comes first in ``class_rows[k]``. Each pick depends only on the earlier
     ones, so stopping early gives exactly the prefix of the full order.
 
-    Each step advances every class with picks left. Classes of at least
-    HERD_SCREEN_MIN values first screen their rows in Gram form, one batched
-    matrix-vector product for all of them: with g = running/t - mu, row i's
-    squared distance is |f_i|^2/t^2 + 2 f_i.g/t + |g|^2. The rows a screen
-    cannot rule out and every untaken row of the other classes are then
-    evaluated together with the direct expression, and each class takes its
-    least. The screen is exact: its picks are those of the direct expression
-    over all rows, since its error bound (gram_error_bound) covers the
-    rounding of both forms and its margin keeps any row the sqrt could tie.
-    A taken row is never a candidate again, even when distances overflow.
+    Each step advances every class with picks left. It first screens every
+    class's rows in Gram form, one batched matrix-vector product over the
+    classes padded to the largest one's row count: with g = running/t - mu,
+    row i's squared distance is |f_i|^2/t^2 + 2 f_i.g/t + |g|^2. The rows the
+    screen cannot rule out are then evaluated together with the direct
+    expression, and each class takes its least. The screen is exact: its
+    picks are those of the direct expression over all rows, since its error
+    bound (gram_error_bound) covers the rounding of both forms and its margin
+    keeps any row the sqrt could tie. A class whose norms could overflow is
+    not screened; every untaken row of it is a candidate. A taken row is never
+    a candidate again, even when distances overflow. The padded stack holds
+    classes x largest class x d floats.
     """
     features = np.asarray(features, dtype=np.float64)
     class_rows = [np.asarray(r, dtype=np.int64).reshape(-1) for r in class_rows]
@@ -111,30 +109,25 @@ def herd_order(features, class_rows, counts):
         own = features[class_rows[c]]
         mu[c] = own.mean(axis=0)
         max_sq[c] = np.einsum("ij,ij->i", own, own).max()
-    # the bound is valid while no intermediate can overflow
-    screened = (sizes * d >= HERD_SCREEN_MIN) & (max_sq < np.finfo(np.float64).max / 64)
-    # one lane per class with picks to make: screened lanes first, each group
-    # by steps descending, so the lanes still active at step t are a prefix
-    lanes = np.lexsort((-steps, ~screened))
+    # one lane per class with picks to make, by steps descending, so the lanes
+    # still active at step t are a prefix
+    lanes = np.argsort(-steps, kind="stable")
     lanes = lanes[steps[lanes] > 0]
     lane_steps, lane_sizes = steps[lanes], sizes[lanes]
-    n_screened = int(screened[lanes].sum())
+    # the bound is valid while no intermediate can overflow; a lane where one
+    # can (or whose norms are NaN) keeps every untaken row as a candidate
+    unbounded = ~(max_sq[lanes] < np.finfo(np.float64).max / 64)
 
-    # The store holds every lane's rows: the screened lanes padded to `width`
-    # rows each, so that they stack into one (lanes, width, d) array, then
-    # the other lanes back to back. Padding repeats a real row (norm inf).
-    width = int(lane_sizes[:n_screened].max(initial=0))
-    padded = n_screened * width
-    slot_counts = np.append(np.full(n_screened, width), lane_sizes[n_screened:])
-    lane_start = np.cumsum(slot_counts) - slot_counts
-    direct_end = lane_start[n_screened:] + lane_sizes[n_screened:]
+    # every lane padded to `width` rows, stacked (lanes, width, d); padding
+    # repeats the lane's own first row, so it never overflows a finite lane
+    width = int(lane_sizes.max())
     rows = np.concatenate([class_rows[c] for c in lanes])
-    slots = np.repeat(lane_start - (np.cumsum(lane_sizes) - lane_sizes), lane_sizes)
+    lane_first = np.cumsum(lane_sizes) - lane_sizes
+    slots = np.repeat(np.arange(len(lanes)) * width - lane_first, lane_sizes)
     slots += np.arange(len(rows))
-    source = np.full(int(slot_counts.sum()), rows[0])
+    source = np.repeat(rows[lane_first], width)
     source[slots] = rows
     store = features[source]
-    lane_of = np.repeat(np.arange(len(lanes)), slot_counts)
     norms = np.full(len(source), np.inf)  # inf marks padding and taken rows
     norms[slots] = np.einsum("ij,ij->i", store, store)[slots]
     available = np.zeros(len(source), dtype=bool)
@@ -143,43 +136,39 @@ def herd_order(features, class_rows, counts):
     mu = mu[lanes]
     running = np.zeros_like(mu)
     first_out = (np.cumsum(steps) - steps)[lanes]
-    stack = store[:padded].reshape(n_screened, width, d)
-    stack_norms = norms[:padded].reshape(n_screened, width)
-    max_norm = np.sqrt(max_sq[lanes[:n_screened]])
-    mu_norm = np.sqrt(np.einsum("ij,ij->i", mu[:n_screened], mu[:n_screened]))
-    least = np.empty(len(lanes))
-    for t in range(1, int(lane_steps.max()) + 1):
-        active = np.flatnonzero(lane_steps >= t)
-        n_s = int(np.searchsorted(active, n_screened))
-        n_d = len(active) - n_s
-        parts = []
-        if n_s:
-            scaled = running[:n_s] / t
-            g = scaled - mu[:n_s]
+    stack = store.reshape(len(lanes), width, d)
+    stack_norms = norms.reshape(len(lanes), width)
+    # overflow and NaN arise only in unbounded lanes, whose screen is not used
+    with np.errstate(over="ignore"):
+        max_norm = np.sqrt(max_sq[lanes])
+        mu_norm = np.sqrt(np.einsum("ij,ij->i", mu, mu))
+    for t in range(1, int(lane_steps[0]) + 1):
+        n = int(np.count_nonzero(lane_steps >= t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = running[:n] / t
+            g = scaled - mu[:n]
             gram = (
-                stack_norms[:n_s] / (t * t)
-                + np.matmul(stack[:n_s], g[:, :, None])[:, :, 0] * (2 / t)
+                stack_norms[:n] / (t * t)
+                + np.matmul(stack[:n], g[:, :, None])[:, :, 0] * (2 / t)
                 + np.einsum("ij,ij->i", g, g)[:, None]
             )
             # W = max|f_i|/t + |running|/t + |mu| bounds |f_i/t| + |g| for
             # every row, so one bound serves the whole class
-            w = max_norm[:n_s] / t + np.sqrt(np.einsum("ij,ij->i", scaled, scaled)) + mu_norm[:n_s]
-            parts.append(np.flatnonzero(_screen(gram, gram_error_bound(d, w * w))))
-        if n_d:
-            parts.append(np.flatnonzero(available[padded : direct_end[n_d - 1]]) + padded)
-        cand = np.concatenate(parts)
-        cand_lane = lane_of[cand]
+            w = max_norm[:n] / t + np.sqrt(np.einsum("ij,ij->i", scaled, scaled)) + mu_norm[:n]
+            keep = _screen(gram, gram_error_bound(d, w * w)) | unbounded[:n, None]
+        cand = np.flatnonzero(keep & available[: n * width].reshape(n, width))
+        cand_lane = cand // width
         dists = np.sqrt(
             (((running[cand_lane] + store[cand]) / t - mu[cand_lane]) ** 2).sum(axis=1)
         )
         dists[np.isnan(dists)] = -1.0  # argmin takes the first NaN
         # candidates run lane by lane in slot order: each lane's first least
-        first = np.searchsorted(cand_lane, active)
-        least[active] = np.minimum.reduceat(dists, first)
+        first = np.searchsorted(cand_lane, np.arange(n))
+        least = np.minimum.reduceat(dists, first)
         hits = np.flatnonzero(dists == least[cand_lane])
         won = cand[hits[np.searchsorted(hits, first)]]  # one per active lane
-        order[first_out[active] + t - 1] = source[won]
-        running[active] += store[won]
+        order[first_out[:n] + t - 1] = source[won]
+        running[:n] += store[won]
         norms[won] = np.inf
         available[won] = False
     return order

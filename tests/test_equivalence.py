@@ -60,7 +60,7 @@ from imbcal.calibration import (
 from imbcal.cli import _read_scores, main
 from imbcal.dataset import SPLITS, TEST, TRAIN, VAL, DatasetTable, load_features
 from imbcal.errors import FormatError, ParameterError
-from imbcal.memory import HERD_SCREEN_MIN, _screen, herd_order
+from imbcal.memory import _screen, herd_order
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -1048,10 +1048,9 @@ def test_herd_order_keeps_the_sqrt_that_ties_rounded_distances():
 
 
 def test_screen_keeps_the_rows_the_sqrt_ties():
-    # the case above, screened
+    # the case above, through the screen every class takes
     feats = np.array([[1.8, 0.3], [-0.1, 1.4]])
-    with mock.patch.object(memory, "HERD_SCREEN_MIN", 0):
-        assert _same(herd_order(feats, [np.arange(len(feats))], [2]), oracle_herd_order(feats))
+    assert _same(herd_order(feats, [np.arange(len(feats))], [2]), oracle_herd_order(feats))
     # were the Gram form exact (no error bound), the tie margin alone must
     # keep row 0, whose squared distance is an ulp larger
     squared = ((feats - feats.mean(axis=0)) ** 2).sum(axis=1)
@@ -1061,7 +1060,7 @@ def test_screen_keeps_the_rows_the_sqrt_ties():
     assert np.flatnonzero(_screen(np.array([1.0, 1.0 + 1e-14, np.inf]), 0.0)).tolist() == [0]
 
 
-# the screen: hypothesis cases with every class screened
+# the screen: hypothesis cases at scales and offsets that strain it
 
 
 @settings(max_examples=300, deadline=None)
@@ -1085,8 +1084,7 @@ def test_screened_herd_order_is_the_prefix_of_the_full_order(
     # a large common offset leaves the Gram form mostly cancellation
     feats = feats * scale + offset
     q = data.draw(st.integers(0, n + 3))
-    with mock.patch.object(memory, "HERD_SCREEN_MIN", 0):
-        got = herd_order(feats, [np.arange(len(feats))], [q])
+    got = herd_order(feats, [np.arange(len(feats))], [q])
     assert _same(got, oracle_herd_order(feats)[:q])
 
 
@@ -1095,10 +1093,20 @@ def test_herd_order_screens_full_size_classes(seed, offset):
     # the shape of a benchmark class: 450 train/val rows of 64 features
     gen = np.random.default_rng(seed)
     feats = gen.normal(size=64) * 0.25 + gen.normal(size=(450, 64)) + offset
-    assert feats.size >= HERD_SCREEN_MIN
+    kept = []
+
+    def screen(gram, err):
+        keep = _screen(gram, err)
+        kept.append(int(keep.sum()))
+        return keep
+
     expected = oracle_herd_order(feats)
     for q in (1, 50, 114, 450):
-        assert _same(herd_order(feats, [np.arange(len(feats))], [q]), expected[:q])
+        with mock.patch.object(memory, "_screen", screen):
+            got = herd_order(feats, [np.arange(len(feats))], [q])
+        assert _same(got, expected[:q])
+    # the screen ran at every step and ruled rows out
+    assert len(kept) == 1 + 50 + 114 + 450 and min(kept) < 450
 
 
 def test_herd_order_never_repeats_a_row_when_distances_overflow():
@@ -1166,16 +1174,14 @@ def _lockstep_case(gen, sizes, d, values):
     st.lists(st.integers(1, 12), min_size=1, max_size=5),
     st.integers(1, 3),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([0, 10, HERD_SCREEN_MIN]),
 )
-def test_lockstep_herd_order_is_the_exact_greedy_order(sizes, d, seed, screen_min):
+def test_lockstep_herd_order_is_the_exact_greedy_order(sizes, d, seed):
     gen = np.random.default_rng(seed)
     feats, table, class_rows = _lockstep_case(
         gen, sizes, d, lambda g, shape: g.integers(-3, 4, size=shape).astype(np.float64)
     )
     counts = [int(gen.integers(0, n + 3)) for n in sizes]  # some above the class size
-    with mock.patch.object(memory, "HERD_SCREEN_MIN", screen_min):
-        got = herd_order(table, class_rows, counts)
+    got = herd_order(table, class_rows, counts)
     assert len(got) == sum(min(q, n) for q, n in zip(counts, sizes))
     at = 0
     for f, rows, q in zip(feats, class_rows, counts):
@@ -1184,16 +1190,15 @@ def test_lockstep_herd_order_is_the_exact_greedy_order(sizes, d, seed, screen_mi
         at += min(q, len(f))
 
 
-def test_lockstep_herd_order_screens_some_classes_and_not_others():
-    # five classes of different sizes; with HERD_SCREEN_MIN at 20 and d = 3,
-    # the classes of 7 rows and more are screened and the others are not
+def test_lockstep_herd_order_of_five_classes_of_different_sizes_is_the_exact_order():
+    # 1 to 12 rows each, padded to the 12-row class in one stack, some counts
+    # above the class size
     gen = np.random.default_rng(0)
     sizes, counts = [1, 4, 7, 12, 9], [1, 6, 5, 12, 30]
     feats, table, class_rows = _lockstep_case(
         gen, sizes, 3, lambda g, shape: g.integers(-9, 10, size=shape).astype(np.float64)
     )
-    with mock.patch.object(memory, "HERD_SCREEN_MIN", 20):
-        got = herd_order(table, class_rows, counts)
+    got = herd_order(table, class_rows, counts)
     expected = [rows[fraction_herd_order(f, q)] for f, rows, q in zip(feats, class_rows, counts)]
     assert [len(e) for e in expected] == [1, 4, 5, 12, 9]  # no exact ties here
     assert got.tolist() == np.concatenate(expected).tolist()
@@ -1206,9 +1211,8 @@ def test_lockstep_herd_order_screens_some_classes_and_not_others():
     st.integers(0, 2**32 - 1),
     st.sampled_from(["plain", "rounded"]),
     st.sampled_from([0.0, 1e6]),
-    st.sampled_from([0, 40, HERD_SCREEN_MIN]),
 )
-def test_lockstep_herd_order_is_each_class_on_its_own(sizes, d, seed, shape, offset, screen_min):
+def test_lockstep_herd_order_is_each_class_on_its_own(sizes, d, seed, shape, offset):
     # bit for bit the full-order loop of each class alone, ties included
     gen = np.random.default_rng(seed)
 
@@ -1218,9 +1222,31 @@ def test_lockstep_herd_order_is_each_class_on_its_own(sizes, d, seed, shape, off
 
     feats, table, class_rows = _lockstep_case(gen, sizes, d, values)
     counts = [int(gen.integers(0, n + 3)) for n in sizes]
-    with mock.patch.object(memory, "HERD_SCREEN_MIN", screen_min):
-        got = herd_order(table, class_rows, counts)
+    got = herd_order(table, class_rows, counts)
     expected = [rows[oracle_herd_order(f)[:q]] for f, rows, q in zip(feats, class_rows, counts)]
+    assert _same(got, np.concatenate(expected))
+
+
+@pytest.mark.parametrize("counts", [[1, 3, 4], [1, 114, 4], [5, 450, 9]])
+@pytest.mark.parametrize("extreme", ["overflow", "nan"])
+def test_herd_order_pads_each_lane_with_its_own_first_row(counts, extreme):
+    # one stack of a 1-row class, a 450 x 64 class and a 4-row class whose
+    # norms overflow or are NaN; the 1-row and 4-row lanes are padded to 450
+    # rows. With counts [1, 3, 4] the 4-row class is the first lane: a pad of
+    # its rows in the 1-row lane would make that lane's Gram row NaN, and the
+    # screen keep none of it
+    gen = np.random.default_rng(5)
+    extreme_rows = gen.normal(size=(4, 64))
+    extreme_rows[:, 0] = (
+        [1.7e308, 1.6e308, 1.5e308, -1e308] if extreme == "overflow" else [np.nan, 1.0, np.nan, 2.0]
+    )
+    feats = [np.full((1, 64), 2.0), gen.normal(size=(450, 64)), extreme_rows]
+    perm = gen.permutation(455)
+    table = np.concatenate(feats)[perm]
+    class_rows = np.split(np.argsort(perm), [1, 451])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = herd_order(table, class_rows, counts)
+        expected = [rows[oracle_herd_order(f)[:q]] for f, rows, q in zip(feats, class_rows, counts)]
     assert _same(got, np.concatenate(expected))
 
 

@@ -573,6 +573,62 @@ class TestCli:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "class_id",
+        ["9" * 400, "9" * 5000, "-" + "9" * 400, "1" + "0" * 5000],
+        ids=["400-digits", "5000-digits", "negative-400-digits", "1-and-5000-zeros"],
+    )
+    def test_calibrate_counts_over_long_class_id_is_out_of_range(self, tmp_path, capsys, class_id):
+        # out of range unread and unprinted, also past int()'s 4300-digit limit
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,s0,s1\n0,2.0,1.0\n1,1.0,2.0\n")
+        counts = tmp_path / "c.csv"
+        counts.write_text(f"0,5\n{class_id},3\n")
+        assert main(["calibrate", "--method", "th", "--scores", str(scores),
+                     "--counts", str(counts)]) == 3
+        err = capsys.readouterr().err
+        assert "c.csv: line 2: class id out of range, too many digits" in err
+        assert "9" * 20 not in err and "0" * 20 not in err
+        assert "Traceback" not in err
+
+    def test_calibrate_counts_short_class_id_out_of_range_is_named(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,s0,s1\n0,2.0,1.0\n1,1.0,2.0\n")
+        counts = tmp_path / "c.csv"
+        counts.write_text("0,5\n-3,3\n")
+        assert main(["calibrate", "--method", "th", "--scores", str(scores),
+                     "--counts", str(counts)]) == 3
+        assert "c.csv: line 2: class -3 out of range" in capsys.readouterr().err
+
+    def test_calibrate_counts_class_id_with_5000_leading_zeros_is_read(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,s0,s1\n0,2.0,1.0\n1,1.0,2.0\n")
+        outputs = []
+        for name, rows in (("long.csv", f"+{'0' * 5000}0,5\n{'0' * 5000}1,3\n"),
+                           ("short.csv", "0,5\n1,3\n")):
+            counts = tmp_path / name
+            counts.write_text(rows)
+            assert main(["calibrate", "--method", "th", "--scores", str(scores),
+                         "--counts", str(counts)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("option", ["--old", "--new"])
+    @pytest.mark.parametrize(
+        "ids", ["9" * 5000, "0," + "9" * 400, "2"], ids=["5000-digits", "400-digits-second", "2"]
+    )
+    def test_calibrate_mb_over_long_or_large_ids_exit_2(self, tmp_path, capsys, option, ids):
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,s0,s1\n0,2.0,1.0\n1,1.0,2.0\n")
+        argv = ["calibrate", "--method", "mb", "--scores", str(scores),
+                "--old", "0", "--new", "1"]
+        argv[argv.index(option) + 1] = ids
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{option}: class id out of range" in err
+        assert "99999" not in err
+        assert "Traceback" not in err
+
     def test_calibrate_mb_overlapping_old_and_new_exit_2(self, tmp_path, capsys):
         scores = tmp_path / "s.csv"
         scores.write_text("label,s0,s1,s2\n0,2.0,1.0,0.5\n1,1.0,2.0,0.5\n2,0.5,1.0,2.0\n")
