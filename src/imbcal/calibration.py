@@ -28,7 +28,7 @@ import numpy as np
 
 from . import backbone, memory
 from .breaks import fisher_jenks
-from .dataset import DatasetTable
+from .dataset import TRAIN, DatasetTable
 from .errors import ConfigurationError, ParameterError
 from .metrics import top1
 
@@ -457,10 +457,11 @@ def apply_nem(state, features):
 def fit_balanced(ctx, model, config):
     """Retrain a copy of the classification layer on a balanced exemplar table.
 
-    Each class contributes its first floor(B / N) exemplars, or everything
-    it has when fewer are stored.
+    Each class contributes the train-split rows among its first floor(B / N)
+    exemplars, since ``train`` fits train-split rows only.
     """
     rows = [r[:ctx.buffer.capacity // ctx.num_classes] for r in _exemplar_rows(ctx)]
+    rows = [r[ctx.table.splits[r] == TRAIN] for r in rows]
     retrained = backbone.train(model, ctx.table.subset(np.concatenate(rows)), config)
     state = CalibratorState("bal", {"weights": retrained.weights, "biases": retrained.biases})
     state.flags["per_class_used"] = {c: len(r) for c, r in enumerate(rows)}

@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
-import re
 import sys
 
 import numpy as np
@@ -24,9 +22,6 @@ import numpy as np
 from . import calibration, dataset, harness
 from .breaks import fisher_jenks
 from .errors import ConfigurationError, FormatError, ParameterError
-
-# a base-10 integer literal in ASCII digits, as int() reads one
-_INTEGER = re.compile(r"\s*[+-]?[0-9]+(?:_[0-9]+)*\s*")
 
 # calibrators that can be fitted from a labeled score file alone
 SCORE_METHODS = tuple(
@@ -84,13 +79,12 @@ def _read_scores(path):
             if n_fields != n_cols + 1:
                 raise FormatError(f"{path}: line {lineno}: expected {n_cols + 1} fields")
             try:
-                label = int(fields[0])
+                label = dataset._class_id(fields[0])
             except ValueError:
                 raise FormatError(f"{path}: line {lineno}: non-numeric value") from None
-            if not 0 <= label < n_cols and not out_of_range:
-                out_of_range.append(
-                    FormatError(f"{path}: line {lineno}: label {label} out of [0, {n_cols})")
-                )
+            fault = dataset._label_fault(label, n_cols)
+            if fault is not None and not out_of_range:
+                out_of_range.append(FormatError(f"{path}: line {lineno}: {fault}"))
             return label
 
         labels, scores = dataset.read_rows(fh, path, 1, n_cols, parse_label, "non-numeric value")
@@ -104,60 +98,33 @@ def _read_scores(path):
     return scores, np.array(labels, dtype=np.int64)
 
 
-def _parse_count(text):
-    """The integer in ``text`` as a float; OverflowError beyond any float.
-
-    int() refuses an integer longer than Python's integer-string digit
-    limit; float() reads one of any length, rounded as float(int()) rounds.
-    """
-    try:
-        return float(int(text))
-    except ValueError:
-        if not _INTEGER.fullmatch(text):
-            raise
-    n = float(text)
-    if math.isinf(n):
-        raise OverflowError(text)
-    return n
-
-
-def _class_id(text, num_classes):
-    """The integer in ``text``, or None if it has more digits than any class id.
-
-    ValueError if ``text`` is no integer. A longer id is out of range unread,
-    so int()'s digit limit never applies and no message prints it.
-    """
-    if not _INTEGER.fullmatch(text):
-        return int(text)  # ValueError, or an id in digits beyond ASCII
-    digits = text.strip().lstrip("+-").replace("_", "").lstrip("0")
-    if len(digits) > len(str(num_classes)):
-        return None
-    return int(digits or "0") * (-1 if text.strip()[0] == "-" else 1)
-
-
 def _read_counts(path, num_classes):
-    counts = np.zeros(num_classes)
     listed = np.zeros(num_classes, dtype=bool)
-    with dataset.open_text(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise FormatError(f"{path}: line {lineno}: expected class,count")
-            try:
-                c, n = _class_id(row[0], num_classes), _parse_count(row[1])
-            except ValueError:
-                raise FormatError(f"{path}: line {lineno}: non-integer value") from None
-            except OverflowError:
-                raise FormatError(f"{path}: line {lineno}: count too large for a float") from None
-            if c is None:
-                raise FormatError(f"{path}: line {lineno}: class id out of range, too many digits")
-            if not 0 <= c < num_classes:
-                raise FormatError(f"{path}: line {lineno}: class {c} out of range")
-            if listed[c]:
-                raise FormatError(f"{path}: line {lineno}: class {c} listed twice")
-            listed[c] = True
-            counts[c] = n
+
+    def parse_class(lineno, fields, n_fields):
+        if n_fields != 2:
+            raise FormatError(f"{path}: line {lineno}: expected class,count")
+        try:
+            if not dataset._INTEGER.fullmatch(fields[1]):
+                raise ValueError("not an integer")
+            c = dataset._class_id(fields[0])
+        except ValueError:
+            raise FormatError(f"{path}: line {lineno}: non-integer value") from None
+        if np.isinf(float(fields[1])):
+            raise FormatError(f"{path}: line {lineno}: count too large for a float")
+        if c is None:
+            raise FormatError(f"{path}: line {lineno}: class id out of range, too many digits")
+        if not 0 <= c < num_classes:
+            raise FormatError(f"{path}: line {lineno}: class {c} out of range")
+        if listed[c]:
+            raise FormatError(f"{path}: line {lineno}: class {c} listed twice")
+        listed[c] = True
+        return c
+
+    with dataset.open_text(path) as fh:
+        classes, values = dataset.read_rows(fh, path, 1, 1, parse_class, "non-integer value", 1)
+    counts = np.zeros(num_classes)
+    counts[classes] = values[:, 0] + 0.0  # + 0.0 reads a count of -0 as 0
     bad = np.flatnonzero(counts <= 0)
     if len(bad):
         raise FormatError(
@@ -170,7 +137,7 @@ def _parse_ids(text, num_classes, option):
     if text is None:
         raise ParameterError(f"--{option} is required for this method")
     try:
-        ids = tuple(_class_id(v, num_classes) for v in text.split(",")) if text else ()
+        ids = tuple(dataset._class_id(v) for v in text.split(",")) if text else ()
     except ValueError:
         raise ParameterError(f"--{option}: class ids must be comma-separated integers") from None
     if any(c is None or not 0 <= c < num_classes for c in ids):

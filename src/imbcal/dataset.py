@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import re
 import stat
 import tempfile
 import warnings
@@ -288,13 +289,13 @@ CSV_CHUNK_ROWS = 1024
 
 
 @contextlib.contextmanager
-def open_text(path, newline=None):
+def open_text(path):
     """Open a UTF-8 text file for reading.
 
     Bytes that do not decode, met while the file is read inside the
     ``with`` block, raise FormatError naming the line of the first of them.
     """
-    with open(path, encoding="utf-8", newline=newline) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             yield fh
         except UnicodeDecodeError:
@@ -342,8 +343,8 @@ def _parse_values(path, lines, first_lineno, width, non_numeric):
     raise FormatError(f"{path}: lines {first_lineno}-{lineno}: {non_numeric}")
 
 
-def read_rows(fh, path, lead, width, parse_lead, non_numeric):
-    """Parse the data lines of an open numeric CSV, numbered from line 2.
+def read_rows(fh, path, lead, width, parse_lead, non_numeric, first_line=2):
+    """Parse an open numeric CSV's data lines, numbered from ``first_line``.
 
     Every line is one unquoted record: ``lead`` leading fields, then
     ``width`` floats. ``parse_lead(lineno, fields, n_fields)`` checks the
@@ -359,9 +360,9 @@ def read_rows(fh, path, lead, width, parse_lead, non_numeric):
     Returns the list of ``parse_lead`` results and the (n, width) matrix.
     """
     leads, blocks, pending = [], [], []
-    first_lineno = 2  # line number of pending[0]
+    first_lineno = first_line  # line number of pending[0]
     error = None
-    for lineno, line in enumerate(fh, start=2):
+    for lineno, line in enumerate(fh, start=first_line):
         line = line.rstrip("\n")
         fields = line.split(",", lead)
         try:
@@ -378,6 +379,39 @@ def read_rows(fh, path, lead, width, parse_lead, non_numeric):
     if error is not None:
         raise error
     return leads, np.concatenate(blocks)
+
+
+# optional whitespace, an optional sign and ASCII digits: an integer as int() reads one
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+ID_DIGITS = 20
+
+
+def _class_id(text):
+    """The label or class id in ``text``; ValueError unless it matches ``_INTEGER``.
+
+    None if it has more than ``ID_DIGITS`` significant digits: out of range,
+    it is never converted (int() refuses over 4300 digits) nor printed.
+    Any other id is ``int(text)``.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise ValueError("not an integer")
+    text = text.strip()
+    digits = text.lstrip("+-").lstrip("0") or "0"
+    if len(digits) > ID_DIGITS:
+        return None
+    return -int(digits) if text[0] == "-" else int(digits)
+
+
+def _label_fault(label, num_classes):
+    """Why a label as ``_class_id`` read it is not in [0, num_classes), or None."""
+    if label is None:
+        return f"label out of [0, {num_classes}), too many digits"
+    return None if 0 <= label < num_classes else f"label {label} out of [0, {num_classes})"
+
+
+def _excerpt(text):
+    """``repr(text)``, cut to 20 characters and an ellipsis if it is longer."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}…"
 
 
 def load_features(features_path, manifest_path):
@@ -426,23 +460,17 @@ def _parse_features(features_path, dim, num_classes):
 
     def parse_lead(lineno, fields, n_fields):
         if n_fields != dim + 2:
-            raise FormatError(
-                f"{features_path}: line {lineno}: expected {dim + 2} fields, got {n_fields}"
-            )
-        try:
-            label = int(fields[0])
-        except ValueError:
-            raise FormatError(
-                f"{features_path}: line {lineno}: non-integer label {fields[0]!r}"
-            ) from None
-        if not 0 <= label < num_classes:
-            raise FormatError(
-                f"{features_path}: line {lineno}: label {label} out of [0, {num_classes})"
-            )
-        if fields[1] not in SPLITS:
-            raise FormatError(
-                f"{features_path}: line {lineno}: unknown split tag {fields[1]!r}"
-            )
+            fault = f"expected {dim + 2} fields, got {n_fields}"
+        else:
+            try:
+                label = _class_id(fields[0])
+                fault = _label_fault(label, num_classes)
+            except ValueError:
+                fault = "non-integer label " + _excerpt(fields[0])
+            if fault is None and fields[1] not in SPLITS:
+                fault = "unknown split tag " + _excerpt(fields[1])
+        if fault is not None:
+            raise FormatError(f"{features_path}: line {lineno}: {fault}")
         return label, fields[1]
 
     with open_text(features_path) as fh:

@@ -1,10 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imbcal import backbone
 from imbcal.backbone import TrainConfig, extend_model, scores
 from imbcal.calibration import (
     NEM_EPSILON,
@@ -365,6 +367,31 @@ class TestBalanced:
         assert used[3] == 5
         out = apply_balanced(state, rng.normal(size=(6, dim)))
         assert out.shape == (6, n_classes)
+
+    def test_each_class_uses_the_train_rows_among_its_quota(self):
+        # train fits train-split rows only: val-split exemplars within the
+        # quota are not used, and the flag counts what is
+        splits = ["train", "val", "train", "val", "val", "train",  # class 0
+                  "val", "train", "train",                         # class 1
+                  "val", "val", "train", "val", "train", "train"]  # class 2
+        labels = np.repeat([0, 1, 2], [6, 3, 6])
+        table = DatasetTable(np.random.default_rng(2).normal(size=(15, 3)), labels, splits)
+        stored = {0: np.array([5, 1, 0, 3, 2, 4]), 1: np.array([8, 6, 7]),
+                  2: np.array([9, 10, 12, 11, 13, 14])}
+        quota = 12 // 3
+        ctx = make_ctx(np.zeros((3, 3)), [0, 1, 2], table=table,
+                       buffer=MemoryBuffer(12, stored))
+        with mock.patch.object(backbone, "train", wraps=backbone.train) as spy:
+            state = fit_balanced(ctx, extend_model(None, 3, 3, seed=0), TrainConfig(epochs=2))
+        used = {c: [r for r in rows[:quota] if splits[r] == "train"]
+                for c, rows in stored.items()}
+        assert used == {0: [5, 0], 1: [8, 7], 2: [11]}
+        assert state.flags["per_class_used"] == {c: len(r) for c, r in used.items()}
+        trained_on = spy.call_args.args[1]
+        rows = np.concatenate(list(used.values()))
+        assert trained_on.features.tobytes() == table.features[rows].tobytes()
+        assert trained_on.labels.tolist() == labels[rows].tolist()
+        assert set(trained_on.splits.tolist()) == {"train"}
 
     def test_retrained_layer_separates_easy_exemplars(self):
         rng = np.random.default_rng(1)

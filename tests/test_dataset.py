@@ -278,6 +278,30 @@ class TestFeatureFiles:
         with pytest.raises(FormatError, match="line 2"):
             load_features(f, m)
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_over_long_label_is_out_of_range_unprinted(self, tmp_path, digits):
+        # past int()'s 4300-digit limit too, and even after a non-finite value
+        f = tmp_path / "x.csv"
+        f.write_text("label,split,f0,f1\n0,train,1.0,2.0\n1,train,nan,2.0\n"
+                     f"{'9' * digits},train,1.0,2.0\n")
+        m = tmp_path / "x.json"
+        m.write_text('{"dim": 2, "classes": 2, "name": "t"}')
+        with pytest.raises(FormatError) as err:
+            load_features(f, m)
+        assert str(err.value) == f"{f}: line 4: label out of [0, 2), too many digits"
+
+    @pytest.mark.parametrize("field, row", [
+        ("non-integer label", "{},train,1.0,2.0"), ("unknown split tag", "0,{},1.0,2.0"),
+    ])
+    def test_a_refused_field_is_echoed_in_20_characters(self, tmp_path, field, row):
+        f = tmp_path / "x.csv"
+        f.write_text("label,split,f0,f1\n" + row.format("x" * 10000) + "\n")
+        m = tmp_path / "x.json"
+        m.write_text('{"dim": 2, "classes": 1, "name": "t"}')
+        with pytest.raises(FormatError) as err:
+            load_features(f, m)
+        assert str(err.value) == f"{f}: line 2: {field} '{'x' * 20}'…"
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
     def test_non_finite_cell_names_line(self, tmp_path, cell):
         f = tmp_path / "x.csv"
@@ -286,6 +310,29 @@ class TestFeatureFiles:
         m.write_text('{"dim": 2, "classes": 2, "name": "t"}')
         with pytest.raises(FormatError, match=r"x\.csv: line 3: non-finite"):
             load_features(f, m)
+
+
+class TestClassId:
+    @pytest.mark.parametrize("text", ["", " ", "+", "1.0", "1e3", "0x1", "1_0", "\u0661", "1 2"])
+    def test_anything_but_sign_and_ascii_digits_is_refused(self, text):
+        with pytest.raises(ValueError):
+            dataset._class_id(text)
+
+    @pytest.mark.parametrize("text", ["9" * 21, "-" + "9" * 21, "1" + "0" * 5000])
+    def test_more_than_20_significant_digits_is_none(self, text):
+        assert dataset._class_id(text) is None
+
+    def test_leading_zeros_do_not_count(self):
+        assert dataset._class_id(" -" + "0" * 5000 + "7 ") == -7
+
+    def test_a_label_of_21_digits_exits_3_whatever_the_class_count(self, tmp_path):
+        f = tmp_path / "x.csv"
+        f.write_text(f"label,split,f0\n{10**20},train,1.0\n")
+        m = tmp_path / "x.json"
+        m.write_text(f'{{"dim": 1, "classes": {10**25}, "name": "t"}}')
+        with pytest.raises(FormatError) as err:
+            load_features(f, m)
+        assert str(err.value) == f"{f}: line 2: label out of [0, {10**25}), too many digits"
 
 
 def _arrays(table):

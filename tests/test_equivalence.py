@@ -25,6 +25,7 @@ W - lr * grad with the gradient from scipy's finite differences.
 import csv
 import json
 import math
+import re
 import tempfile
 import warnings
 from fractions import Fraction
@@ -57,8 +58,8 @@ from imbcal.calibration import (
     fit_threshold,
     pava,
 )
-from imbcal.cli import _read_scores, main
-from imbcal.dataset import SPLITS, TEST, TRAIN, VAL, DatasetTable, load_features
+from imbcal.cli import _read_counts, _read_scores, main
+from imbcal.dataset import SPLITS, TEST, TRAIN, VAL, DatasetTable, _class_id, load_features
 from imbcal.errors import FormatError, ParameterError
 from imbcal.memory import _screen, herd_order
 
@@ -380,6 +381,65 @@ def oracle_read_scores(path):
             f"{path}: line {bad[0] + 2}: label {labels[bad[0]]} out of [0, {n_cols})"
         )
     return scores, labels
+
+
+# a base-10 integer literal in ASCII digits, as int() reads one
+_ORACLE_INTEGER = re.compile(r"\s*[+-]?[0-9]+(?:_[0-9]+)*\s*")
+
+
+def _oracle_parse_count(text):
+    """The integer in ``text`` as a float; OverflowError beyond any float."""
+    try:
+        return float(int(text))
+    except ValueError:
+        if not _ORACLE_INTEGER.fullmatch(text):
+            raise
+    n = float(text)
+    if math.isinf(n):
+        raise OverflowError(text)
+    return n
+
+
+def _oracle_class_id(text, num_classes):
+    """The integer in ``text``, or None if it has more digits than any class id."""
+    if not _ORACLE_INTEGER.fullmatch(text):
+        return int(text)  # ValueError, or an id in digits beyond ASCII
+    digits = text.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if len(digits) > len(str(num_classes)):
+        return None
+    return int(digits or "0") * (-1 if text.strip()[0] == "-" else 1)
+
+
+def oracle_read_counts(path, num_classes):
+    """The csv.reader counts loader: ``int`` per class id, ``float(int())`` per count."""
+    counts = np.zeros(num_classes)
+    listed = np.zeros(num_classes, dtype=bool)
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise FormatError(f"{path}: line {lineno}: expected class,count")
+            try:
+                c, n = _oracle_class_id(row[0], num_classes), _oracle_parse_count(row[1])
+            except ValueError:
+                raise FormatError(f"{path}: line {lineno}: non-integer value") from None
+            except OverflowError:
+                raise FormatError(f"{path}: line {lineno}: count too large for a float") from None
+            if c is None:
+                raise FormatError(f"{path}: line {lineno}: class id out of range, too many digits")
+            if not 0 <= c < num_classes:
+                raise FormatError(f"{path}: line {lineno}: class {c} out of range")
+            if listed[c]:
+                raise FormatError(f"{path}: line {lineno}: class {c} listed twice")
+            listed[c] = True
+            counts[c] = n
+    bad = np.flatnonzero(counts <= 0)
+    if len(bad):
+        raise FormatError(
+            f"{path}: every class needs a positive count, class {bad[0]} has {counts[bad[0]]:g}"
+        )
+    return counts
 
 
 def oracle_centers(generator, num_classes, dim, class_separation):
@@ -1427,6 +1487,51 @@ def test_read_scores_is_bitwise_equal_to_the_csv_loop(width, data, newline, fina
         assert _outcome(_read_scores, *paths) == expected
 
 
+def _write_counts(directory, lines, newline="\n", final=True):
+    counts = Path(directory) / "c.csv"
+    counts.write_bytes((newline.join(lines) + newline * final).encode())
+    return counts
+
+
+def _integer_text(digits):
+    """``digits`` as an integer text: padded, signed and zero-led in the ways int() reads."""
+    return st.builds(
+        lambda pad, sign, zeros, d: f"{pad}{sign}{zeros}{d}{pad}",
+        st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "+"]),
+        st.sampled_from(["", "0", "0" * 5000]), digits,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(num_classes=st.integers(1, 12), data=st.data(),
+       newline=file_shapes["newline"], final=st.booleans(), chunk=file_shapes["chunk"])
+def test_read_counts_is_bitwise_equal_to_the_csv_loop(num_classes, data, newline, final, chunk):
+    order = data.draw(st.permutations(range(num_classes)))
+    counts = _integer_text(st.integers(1, 10**300).map(str))
+    lines = [f"{data.draw(_integer_text(st.just(c)))},{data.draw(counts)}" for c in order]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dataset, "CSV_CHUNK_ROWS", chunk):
+        path = _write_counts(tmp, lines, newline, final)
+        expected = oracle_read_counts(path, num_classes)
+        assert _read_counts(path, num_classes).tobytes() == expected.tobytes()
+
+
+WHITESPACE = " \t\n\r\f\v"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.builds(
+        lambda lead, sign, zeros, digits, trail: lead + sign + zeros + digits + trail,
+        st.text(WHITESPACE, max_size=3), st.sampled_from(["", "+", "-"]),
+        st.text("0", max_size=6), st.text("0123456789", min_size=1, max_size=20),
+        st.text(WHITESPACE, max_size=3),
+    ).filter(lambda t: len(t) <= 20),
+)
+def test_class_id_is_int_of_every_ascii_integer_text_up_to_20_characters(text):
+    assert _class_id(text) == int(text)
+
+
 # name -> (width, faulty lines, index of the line the error must name)
 FEATURE_FAULTS = {
     "ragged row": (2, ["1,train,1.0"], 0),
@@ -1510,6 +1615,58 @@ def test_read_scores_fails_like_the_csv_loop(tmp_path, monkeypatch, fault, posit
     assert _outcome(_read_scores, *paths) == expected
 
 
+# classes 10 and 11 are in range and on no good line
+COUNT_CLASSES = GOOD_LINES + 2
+# name -> (faulty lines, index of the line the error must name)
+COUNT_FAULTS = {
+    "one field": (["10"], 0),
+    "three fields": (["10,5,5"], 0),
+    "non-integer class": (["x,5"], 0),
+    "non-integer count": (["10,x"], 0),
+    "float count": (["10,1.5"], 0),
+    "empty count": (["10,"], 0),
+    "hash after a count": (["10,5#"], 0),
+    "class out of range": (["12,5"], 0),
+    "negative class": (["-1,5"], 0),
+    "class listed twice": (["0,9"], 0),
+    "400-digit class": (["9" * 400 + ",5"], 0),
+    "5000-digit class": (["9" * 5000 + ",5"], 0),
+    "400-digit count": (["10," + "9" * 400], 0),
+    "5000-digit count": (["10," + "9" * 5000], 0),
+    "negative 400-digit count": (["10,-" + "9" * 400], 0),
+    "bad count before a class listed twice": (["10,x", "0,9"], 0),
+    "class listed twice before a huge count": (["0,9", "10," + "9" * 400], 0),
+    "huge count before a class listed twice": (["10," + "9" * 400, "0,9"], 0),
+    "huge count of a class out of range": (["12," + "9" * 400], 0),
+    "huge count of a 400-digit class": (["9" * 400 + "," + "9" * 400], 0),
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("position", FAULT_POSITIONS)
+@pytest.mark.parametrize("fault", COUNT_FAULTS)
+def test_read_counts_fails_like_the_csv_loop(tmp_path, monkeypatch, fault, position, newline):
+    monkeypatch.setattr(dataset, "CSV_CHUNK_ROWS", TEST_CHUNK_ROWS)
+    faults, named = COUNT_FAULTS[fault]
+    lines = [f"{k},{k + 1}" for k in range(GOOD_LINES)]
+    at = len(lines) if position == "end" else position
+    lines[at:at] = faults
+    path = _write_counts(tmp_path, lines, newline)
+    expected = _outcome(oracle_read_counts, path, COUNT_CLASSES)
+    assert expected[0] == "error" and f"c.csv: line {at + named + 1}: " in expected[1]
+    assert _outcome(_read_counts, path, COUNT_CLASSES) == expected
+
+
+@pytest.mark.parametrize("rows", ["", "0,5\n", "0,5\n1,-0\n", "0,0\n1,5\n", "0,5\n1,-4\n"],
+                         ids=["empty", "missing", "minus-zero", "zero", "negative"])
+def test_read_counts_names_a_class_without_a_positive_count_like_the_csv_loop(tmp_path, rows):
+    path = tmp_path / "c.csv"
+    path.write_text(rows)
+    expected = _outcome(oracle_read_counts, path, 2)
+    assert expected[0] == "error" and "every class needs a positive count" in expected[1]
+    assert _outcome(_read_counts, path, 2) == expected
+
+
 # deliberate departures from the csv.reader loaders
 
 
@@ -1531,3 +1688,57 @@ def test_floats_beyond_ascii_decimal_exit_3_with_their_line(tmp_path, capsys, ce
     assert oracle_read_scores(scores)[0][1, 0] == 10.0
     assert main(["calibrate", "--method", "iso", "--scores", str(scores)]) == 3
     assert "s.csv: line 3: non-numeric value" in capsys.readouterr().err
+
+
+def test_counts_quoted_fields_exit_3_with_their_line(tmp_path, capsys):
+    path = _write_counts(tmp_path, ["0,5", '"1",3'])
+    assert oracle_read_counts(path, 2).tolist() == [5.0, 3.0]
+    (scores,) = _write_scores(tmp_path, 2, ["0,2.0,1.0", "1,1.0,2.0"])
+    assert main(["calibrate", "--method", "th", "--scores", str(scores),
+                 "--counts", str(path)]) == 3
+    assert "c.csv: line 2: non-integer value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["1,1_0", "0_1,3"], ids=["count", "class"])
+def test_counts_underscore_separators_exit_3_with_their_line(tmp_path, row):
+    path = _write_counts(tmp_path, ["0,5", row])
+    assert oracle_read_counts(path, 2).tolist() == [5.0, 10.0 if row == "1,1_0" else 3.0]
+    with pytest.raises(FormatError, match=r"c\.csv: line 2: non-integer value"):
+        _read_counts(path, 2)
+
+
+def test_counts_blank_lines_exit_3_with_their_line(tmp_path):
+    path = _write_counts(tmp_path, ["0,5", "", "1,3"])
+    assert oracle_read_counts(path, 2).tolist() == [5.0, 3.0]
+    with pytest.raises(FormatError, match=r"c\.csv: line 2: expected class,count"):
+        _read_counts(path, 2)
+
+
+@pytest.mark.parametrize("label", ["0_1", "\u0661"], ids=["underscore", "arabic-indic"])
+def test_labels_and_class_ids_beyond_ascii_decimal_exit_3_or_2(tmp_path, capsys, label):
+    assert int(label) == 1  # the csv.reader loaders and int() accepted these
+    paths = _write_features(tmp_path, 2, ["0,train,1.0,2.0", f"{label},train,1.0,2.0"])
+    assert oracle_load_features(*paths).labels[1] == 1
+    with pytest.raises(FormatError, match=r"x\.csv: line 3: non-integer label"):
+        load_features(*paths)
+    (scores,) = _write_scores(tmp_path, 2, ["0,2.0,1.0", f"{label},1.0,2.0"])
+    assert oracle_read_scores(scores)[1][1] == 1
+    assert main(["calibrate", "--method", "iso", "--scores", str(scores)]) == 3
+    assert "s.csv: line 3: non-numeric value" in capsys.readouterr().err
+    counts = _write_counts(tmp_path, ["0,5", f"{label},3"])
+    assert oracle_read_counts(counts, 2).tolist() == [5.0, 3.0]
+    with pytest.raises(FormatError, match=r"c\.csv: line 2: non-integer value"):
+        _read_counts(counts, 2)
+    assert _oracle_class_id(label, 2) == 1
+    (scores,) = _write_scores(tmp_path, 2, ["0,2.0,1.0", "1,1.0,2.0"])
+    assert main(["calibrate", "--method", "mb", "--scores", str(scores),
+                 "--old", "0", "--new", label]) == 2
+    assert "--new: class ids must be comma-separated integers" in capsys.readouterr().err
+
+
+def test_an_out_of_range_class_id_of_up_to_20_digits_is_printed(tmp_path):
+    path = _write_counts(tmp_path, ["0,5", "100,3"])
+    with pytest.raises(FormatError, match=r"c\.csv: line 2: class id out of range, too many"):
+        oracle_read_counts(path, 2)
+    with pytest.raises(FormatError, match=r"c\.csv: line 2: class 100 out of range"):
+        _read_counts(path, 2)

@@ -820,6 +820,22 @@ class TestCli:
         assert main(argv) == 3
         assert f"s.csv: line {line}: label {label} out of [0, 2)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_over_long_score_label_is_out_of_range_unprinted(self, tmp_path, capsys, digits):
+        # past int()'s 4300-digit limit too
+        scores = tmp_path / "s.csv"
+        scores.write_text(f"label,s0,s1\n0,2.0,1.0\n{'9' * digits},1.0,2.0\n")
+        assert main(["calibrate", "--method", "iso", "--scores", str(scores)]) == 3
+        err = capsys.readouterr().err
+        assert "s.csv: line 3: label out of [0, 2), too many digits" in err
+        assert "9" * 20 not in err and "Traceback" not in err
+
+    def test_over_long_score_label_is_reported_after_a_non_finite_score(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text(f"label,s0,s1\n{'9' * 5000},2.0,1.0\n1,1.0,inf\n")
+        assert main(["calibrate", "--method", "iso", "--scores", str(scores)]) == 3
+        assert "s.csv: line 3: non-finite score" in capsys.readouterr().err
+
     @pytest.mark.parametrize("via", ["--out", "output_dir"])
     def test_out_naming_a_file_exits_2_before_run(self, tmp_path, capsys, monkeypatch, via):
         def no_run(cfg):
