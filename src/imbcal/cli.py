@@ -46,9 +46,9 @@ def _build_parser():
     p_gen.add_argument("--per-class", type=int, required=True)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--out", required=True, help="feature CSV path; manifest goes next to it")
-    p_gen.add_argument("--separation", type=float, default=5.0)
-    p_gen.add_argument("--noise", type=float, default=1.0)
-    p_gen.add_argument("--test-per-class", type=int, default=None)
+    p_gen.add_argument("--separation", type=float, default=harness.SyntheticSpec.separation)
+    p_gen.add_argument("--noise", type=float, default=harness.SyntheticSpec.noise)
+    p_gen.add_argument("--test-per-class", type=int, default=harness.SyntheticSpec.test_per_class)
 
     p_breaks = sub.add_parser("breaks", help="Fisher-Jenks natural breaks")
     p_breaks.add_argument("--values", required=True, help="comma-separated numbers")

@@ -441,6 +441,12 @@ def load_features(features_path, manifest_path):
     if dim < 1 or num_classes < 1:
         raise FormatError(f"{manifest_path}: dim and classes must be positive")
 
+    if num_classes >= 2**63:
+        # labels are int64; the CSV's own line faults are still reported first
+        with contextlib.suppress(OverflowError):
+            _parse_features(features_path, dim, num_classes)
+        raise FormatError(f"{manifest_path}: manifest key 'classes' must be below 2**63")
+
     csv_key = _file_key(features_path)
     if csv_key is None:
         return _parse_features(features_path, dim, num_classes)

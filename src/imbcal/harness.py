@@ -74,110 +74,104 @@ class ExperimentConfig:
             raise ParameterError(f"val_fraction must be in (0, 1), got {self.val_fraction!r}")
 
 
-_REQUIRED = object()
+# Each JSON type a config key may take, "a JSON <type>" in messages, and the
+# Python types it reads as. A bool is none of them, though Python calls it an int.
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "object": dict,
+               "list of tags": list, "list of class ids": list}
+
+# Each config section's keys: JSON key -> (the field it sets, its JSON type).
+# An "object" key is a section of its own, whose fields build the dataclass in
+# _SECTION_TYPES or, where its field is None, join its parent's fields. A key
+# left out sets nothing, so each default is written only in its dataclass.
+_SECTIONS = {
+    "": {
+        "num_states": ("num_states", "integer"),
+        "memory": ("memory", "integer"),
+        "data": (None, "object"),
+        "imbalance": ("imbalance_kind", "string"),
+        "train": ("train", "object"),
+        "methods": ("methods", "list of tags"),
+        "val_fraction": ("val_fraction", "number"),
+        "seeds": (None, "object"),
+        "class_order": ("class_order", "list of class ids"),
+        "ece_bins": ("ece_bins", "integer"),
+        "output_dir": ("output_dir", "string"),
+    },
+    "data": {"synthetic": ("synthetic", "object"), "features": (None, "object")},
+    "synthetic": {
+        "classes": ("classes", "integer"),
+        "dim": ("dim", "integer"),
+        "per_class": ("per_class", "integer"),
+        "separation": ("separation", "number"),
+        "noise": ("noise", "number"),
+        "test_per_class": ("test_per_class", "integer"),
+    },
+    "features": {"features_path": ("features_path", "string"),
+                 "manifest_path": ("manifest_path", "string")},
+    "train": {
+        "epochs": ("epochs", "integer"),
+        "lr": ("initial_lr", "number"),
+        "patience": ("plateau_patience", "integer"),
+        "decay": ("lr_decay", "number"),
+        "batch_size": ("batch_size", "integer"),
+    },
+    "seeds": {"data": ("data_seed", "integer"), "model": ("model_seed", "integer"),
+              "protocol": ("protocol_seed", "integer")},
+}
+_SECTION_TYPES = {"synthetic": SyntheticSpec, "train": backbone.TrainConfig}
+# keys by the section-qualified names that messages give
+REQUIRED_KEYS = ("num_states", "memory", "data", "synthetic.classes", "synthetic.dim",
+                 "synthetic.per_class", "features.features_path", "features.manifest_path")
+NULLABLE_KEYS = ("class_order", "output_dir", "synthetic.test_per_class")
 
 
-def _typed(obj, key, kind, default, described, section=""):
-    """``obj[key]`` (or ``default`` when absent) if it is a ``kind`` other than bool.
+def _fields(obj, section=""):
+    """The fields that ``obj``, a JSON object of ``section``, sets: {field: value}.
 
-    A ``default`` of _REQUIRED makes the key required.
+    Refuses the first key the section does not define; then, in table order,
+    a required key that is missing and a value not of its key's JSON type.
     """
-    value = obj.get(key, default)
-    if value is _REQUIRED:
-        raise KeyError(key)
-    if value is not default and (not isinstance(value, kind) or isinstance(value, bool)):
-        raise ParameterError(f"{section}{key} must be {described}, got {value!r}")
-    return value
-
-
-def _integer(obj, key, default=_REQUIRED, section=""):
-    """``obj[key]`` as a JSON integer; ``3.0`` and ``true`` are refused."""
-    return _typed(obj, key, int, default, "a JSON integer", section)
-
-
-def _number(obj, key, default, section=""):
-    """``obj[key]`` as a finite float from a JSON number; ``true``, ``"7"`` and NaN are refused."""
-    value = float(_typed(obj, key, (int, float), default, "a JSON number", section))
-    if not np.isfinite(value):
-        raise ParameterError(f"{section}{key} must be finite, got {value!r}")
-    return value
-
-
-def _string(obj, key, default=_REQUIRED, section=""):
-    """``obj[key]`` as a JSON string; a null ``default`` also passes a null value."""
-    return _typed(obj, key, str, default, "a JSON string", section)
-
-
-def _known(obj, keys, section=""):
-    """``obj`` if it defines no key outside ``keys``; the first other key is refused."""
+    keys = _SECTIONS[section]
+    prefix = section and section + "."
     unknown = [key for key in obj if key not in keys]
     if unknown:
-        raise ParameterError(f"unknown config key {section}{unknown[0]}")
-    return obj
+        raise ParameterError(f"unknown config key {prefix}{unknown[0]}")
+    fields = {}
+    for key, (name, kind) in keys.items():
+        qualified = prefix + key
+        value = obj.get(key)
+        if key not in obj:
+            if qualified in REQUIRED_KEYS:
+                raise ParameterError(f"missing config key {qualified}")
+        elif value is None and qualified in NULLABLE_KEYS:
+            fields[name] = None
+        elif not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool):
+            raise ParameterError(f"{qualified} must be a JSON {kind}, got {value!r}")
+        elif kind == "object" and name is None:
+            fields.update(_fields(value, key))
+        elif kind == "object":
+            fields[name] = _SECTION_TYPES[key](**_fields(value, key))
+        elif kind == "number":
+            fields[name] = float(value)
+            if not np.isfinite(fields[name]):
+                raise ParameterError(f"{qualified} must be finite, got {fields[name]!r}")
+        elif kind.startswith("list"):
+            bad = [c for c in value if type(c) is not int]
+            if kind == "list of class ids" and bad:
+                raise ParameterError(f"{qualified} entries must be JSON integers, got {bad[0]!r}")
+            fields[name] = tuple(value)
+        else:
+            fields[name] = value
+    return fields
 
 
 def config_from_dict(obj):
     """Build an ExperimentConfig from the documented JSON schema."""
     if not isinstance(obj, dict):
         raise ParameterError("the experiment config must be a JSON object")
-    _known(obj, ("num_states", "memory", "data", "imbalance", "train", "methods",
-                 "val_fraction", "seeds", "class_order", "ece_bins", "output_dir"))
     try:
-        data = _known(_typed(obj, "data", dict, _REQUIRED, "a JSON object"),
-                      ("synthetic", "features"), "data.")
-        synthetic = features_path = manifest_path = None
-        if "synthetic" in data:
-            s = _known(_typed(data, "synthetic", dict, _REQUIRED, "a JSON object", "data."),
-                       ("classes", "dim", "per_class", "separation", "noise", "test_per_class"),
-                       "synthetic.")
-            synthetic = SyntheticSpec(
-                classes=_integer(s, "classes", section="synthetic."),
-                dim=_integer(s, "dim", section="synthetic."),
-                per_class=_integer(s, "per_class", section="synthetic."),
-                separation=_number(s, "separation", 5.0, "synthetic."),
-                noise=_number(s, "noise", 1.0, "synthetic."),
-                test_per_class=_integer(s, "test_per_class", None, "synthetic."),
-            )
-        if "features" in data:
-            f = _known(_typed(data, "features", dict, _REQUIRED, "a JSON object", "data."),
-                       ("features_path", "manifest_path"), "features.")
-            features_path = _string(f, "features_path", section="features.")
-            manifest_path = _string(f, "manifest_path", section="features.")
-        t = _known(_typed(obj, "train", dict, {}, "a JSON object"),
-                   ("epochs", "lr", "patience", "decay", "batch_size"), "train.")
-        seeds = _known(_typed(obj, "seeds", dict, {}, "a JSON object"),
-                       ("data", "model", "protocol"), "seeds.")
-        methods = _typed(obj, "methods", list, list(ALL_METHODS), "a JSON list of tags")
-        class_order = _typed(obj, "class_order", list, None, "a JSON list of class ids")
-        bad = [c for c in class_order or () if type(c) is not int]
-        if bad:
-            raise ParameterError(f"class_order entries must be JSON integers, got {bad[0]!r}")
-        return ExperimentConfig(
-            num_states=_integer(obj, "num_states"),
-            memory=_integer(obj, "memory"),
-            synthetic=synthetic,
-            features_path=features_path,
-            manifest_path=manifest_path,
-            imbalance_kind=_string(obj, "imbalance", "none"),
-            train=backbone.TrainConfig(
-                epochs=_integer(t, "epochs", 25, "train."),
-                initial_lr=_number(t, "lr", 0.1, "train."),
-                plateau_patience=_integer(t, "patience", 5, "train."),
-                lr_decay=_number(t, "decay", 0.1, "train."),
-                batch_size=_integer(t, "batch_size", 32, "train."),
-            ),
-            methods=tuple(methods),
-            val_fraction=_number(obj, "val_fraction", 0.1),
-            data_seed=_integer(seeds, "data", 0, "seeds."),
-            model_seed=_integer(seeds, "model", 0, "seeds."),
-            protocol_seed=_integer(seeds, "protocol", 0, "seeds."),
-            class_order=None if class_order is None else tuple(class_order),
-            ece_bins=_integer(obj, "ece_bins", metrics.ECE_BINS_DEFAULT),
-            output_dir=_string(obj, "output_dir", None),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ParameterError):
-            raise
+        return ExperimentConfig(**_fields(obj))
+    except (TypeError, OverflowError) as exc:
         raise ParameterError(f"bad experiment config: {exc}") from exc
 
 

@@ -12,6 +12,7 @@
 # 5000-digit --old id (each must exit with its code and a greppable message,
 # print no traceback and not echo the long id), mb with a class both old and
 # new, then feature and score CSVs with a 400-digit and a 5000-digit label,
+# a manifest whose classes (10**25) is beyond int64 over a 20-digit label,
 # and a counts file with a quoted field (each exits 3 with a greppable
 # message and no traceback, and a long label is not echoed).
 #
@@ -156,6 +157,16 @@ for digits in 400 5000; do
   if grep -F Traceback err.txt; then exit 1; fi
   if grep -F 99999999999999999999 err.txt; then exit 1; fi
 done
+sed "5s/^[0-9]*,/99999999999999999999,/" feat.csv > wide.csv
+python -c 'import json; m = json.load(open("feat.csv.manifest.json")); m["classes"] = 10**25; print(json.dumps(m))' > wide.csv.manifest.json
+sed 's/feat\.csv/wide.csv/g' cfg.json > wide.json
+status=0
+imbcal run --config wide.json --out wide-out 2> err.txt || status=$?
+cat err.txt
+test "$status" -eq 3
+grep -F "wide.csv.manifest.json: manifest key 'classes' must be below 2**63" err.txt
+if grep -F Traceback err.txt; then exit 1; fi
+test ! -e wide-out
 printf '0,5\n"1",3\n' > quoted.csv
 status=0
 imbcal calibrate --method th --scores s.csv --counts quoted.csv 2> err.txt || status=$?

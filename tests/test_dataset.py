@@ -601,3 +601,29 @@ def test_centers_allocate_no_class_by_class_tensor():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+LARGE_BUILD = """
+import json, resource
+from imbcal import harness
+cfg = harness.ExperimentConfig(
+    num_states=20, memory=5000, imbalance_kind="strong",
+    synthetic=harness.SyntheticSpec(classes=500, dim=256, per_class=300,
+                                    separation=2.5, noise=1.5, test_per_class=30),
+)
+table = harness._build_table(cfg)
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"rows": len(table), "peak_mb": peak_mb}))
+"""
+
+
+def test_large_table_builds_within_600_mb():
+    # the "large" workload's table alone, with no training: 500 classes in
+    # 256-d, 300 train and 30 test rows per class, strong imbalance. Its raw
+    # features are 338 MB; a fresh process measures the build's own peak.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", LARGE_BUILD], capture_output=True, text=True,
+                         env=env, check=True, timeout=300)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["rows"] > 0
+    assert result["peak_mb"] <= 600, result

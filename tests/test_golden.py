@@ -20,6 +20,7 @@ import pytest
 from imbcal.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 RUN_OUTPUTS = ("states.csv", "summary.json", "figdata.csv")
 SCORE_METHODS = ("iso", "pl", "th", "mb", "fj")
 
@@ -84,6 +85,14 @@ def test_calibrate_matches_golden(method, tmp_path):
     out = tmp_path / f"{method}.csv"
     produce_calibrate(method, out)
     assert out.read_bytes() == (GOLDEN / "calibrate" / f"{method}.csv").read_bytes()
+
+
+def test_readme_quick_start_is_the_pinned_config():
+    # the config.json that the quick start writes between <<'EOF' and EOF
+    text = README.read_text(encoding="utf-8")
+    start = text.index("<<'EOF'\n") + len("<<'EOF'\n")
+    block = text[start:text.index("\nEOF\n", start)]
+    assert json.loads(block) == README_CONFIG
 
 
 if __name__ == "__main__":

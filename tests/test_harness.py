@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -454,6 +455,91 @@ class TestConfig:
         assert config_from_dict({**cfg, "class_order": None}).class_order is None
         assert config_from_dict({**cfg, "class_order": [3, 1, 0, 2]}).class_order == (3, 1, 0, 2)
 
+    @pytest.mark.parametrize("keys, field", [
+        (("class_order",), "class_order"),
+        (("output_dir",), "output_dir"),
+        (("data", "synthetic", "test_per_class"), "test_per_class"),
+    ])
+    def test_nullable_keys_read_null_as_none(self, keys, field):
+        base = {"num_states": 2, "memory": 8, "data": json.loads(json.dumps(self.SYNTHETIC))}
+        cfg = config_from_dict(self._with(base, keys, None))
+        assert getattr(cfg.synthetic if keys[0] == "data" else cfg, field) is None
+
+    @pytest.mark.parametrize("data, keys, message", [
+        (SYNTHETIC, ("num_states",), "num_states must be a JSON integer"),
+        (SYNTHETIC, ("memory",), "memory must be a JSON integer"),
+        (SYNTHETIC, ("data",), "data must be a JSON object"),
+        (SYNTHETIC, ("imbalance",), "imbalance must be a JSON string"),
+        (SYNTHETIC, ("train",), "train must be a JSON object"),
+        (SYNTHETIC, ("methods",), "methods must be a JSON list of tags"),
+        (SYNTHETIC, ("val_fraction",), "val_fraction must be a JSON number"),
+        (SYNTHETIC, ("seeds",), "seeds must be a JSON object"),
+        (SYNTHETIC, ("ece_bins",), "ece_bins must be a JSON integer"),
+        (SYNTHETIC, ("data", "synthetic"), "data.synthetic must be a JSON object"),
+        (FEATURES, ("data", "features"), "data.features must be a JSON object"),
+        (SYNTHETIC, ("data", "synthetic", "classes"), "synthetic.classes must be a JSON integer"),
+        (SYNTHETIC, ("data", "synthetic", "dim"), "synthetic.dim must be a JSON integer"),
+        (SYNTHETIC, ("data", "synthetic", "per_class"),
+         "synthetic.per_class must be a JSON integer"),
+        (SYNTHETIC, ("data", "synthetic", "separation"),
+         "synthetic.separation must be a JSON number"),
+        (SYNTHETIC, ("data", "synthetic", "noise"), "synthetic.noise must be a JSON number"),
+        (FEATURES, ("data", "features", "features_path"),
+         "features.features_path must be a JSON string"),
+        (FEATURES, ("data", "features", "manifest_path"),
+         "features.manifest_path must be a JSON string"),
+        (SYNTHETIC, ("train", "epochs"), "train.epochs must be a JSON integer"),
+        (SYNTHETIC, ("train", "lr"), "train.lr must be a JSON number"),
+        (SYNTHETIC, ("train", "patience"), "train.patience must be a JSON integer"),
+        (SYNTHETIC, ("train", "decay"), "train.decay must be a JSON number"),
+        (SYNTHETIC, ("train", "batch_size"), "train.batch_size must be a JSON integer"),
+        (SYNTHETIC, ("seeds", "data"), "seeds.data must be a JSON integer"),
+        (SYNTHETIC, ("seeds", "model"), "seeds.model must be a JSON integer"),
+        (SYNTHETIC, ("seeds", "protocol"), "seeds.protocol must be a JSON integer"),
+    ])
+    def test_every_other_key_refuses_null(self, data, keys, message):
+        base = {"num_states": 2, "memory": 8, "data": json.loads(json.dumps(data))}
+        with pytest.raises(ParameterError) as exc:
+            config_from_dict(self._with(base, keys, None))
+        assert str(exc.value) == f"{message}, got None"
+
+    @pytest.mark.parametrize("data, keys, name", [
+        (SYNTHETIC, ("num_states",), "num_states"),
+        (SYNTHETIC, ("memory",), "memory"),
+        (SYNTHETIC, ("data",), "data"),
+        (SYNTHETIC, ("data", "synthetic", "classes"), "synthetic.classes"),
+        (SYNTHETIC, ("data", "synthetic", "dim"), "synthetic.dim"),
+        (SYNTHETIC, ("data", "synthetic", "per_class"), "synthetic.per_class"),
+        (FEATURES, ("data", "features", "features_path"), "features.features_path"),
+        (FEATURES, ("data", "features", "manifest_path"), "features.manifest_path"),
+    ])
+    def test_missing_required_key_exits_2_naming_it_before_data_is_built(
+        self, tmp_path, capsys, monkeypatch, data, keys, name
+    ):
+        self._no_data(monkeypatch)
+        cfg = {"num_states": 2, "memory": 8, "data": json.loads(json.dumps(data))}
+        section = cfg
+        for key in keys[:-1]:
+            section = section[key]
+        del section[keys[-1]]
+        err = self._refused(tmp_path, capsys, cfg)
+        assert err == f"error: missing config key {name}\n"
+
+    def test_train_seed_is_an_unknown_key(self):
+        cfg = {"num_states": 2, "memory": 8, "train": {"seed": 3}, "data": self.SYNTHETIC}
+        with pytest.raises(ParameterError, match="^unknown config key train.seed$"):
+            config_from_dict(cfg)
+
+    @pytest.mark.parametrize("data, direct", [
+        (SYNTHETIC, dict(synthetic=SyntheticSpec(classes=4, dim=3, per_class=15))),
+        (FEATURES, dict(features_path="f.csv", manifest_path="f.json")),
+    ], ids=["synthetic", "features"])
+    def test_minimal_config_takes_every_dataclass_default(self, data, direct):
+        parsed = config_from_dict({"num_states": 2, "memory": 8, "data": data})
+        built = ExperimentConfig(num_states=2, memory=8, **direct)
+        for f in dataclasses.fields(ExperimentConfig):
+            assert getattr(parsed, f.name) == getattr(built, f.name), f.name
+
 
 class TestCli:
     def run_config(self, tmp_path):
@@ -492,6 +578,23 @@ class TestCli:
 
         t = load_features(out, str(out) + ".manifest.json")
         assert t.census == {0: 6, 1: 6, 2: 6}
+
+    def test_gen_defaults_are_synthetic_spec_defaults(self, tmp_path):
+        from imbcal.dataset import generate_synthetic, save_features
+
+        out = tmp_path / "gen.csv"
+        assert main(["gen", "--classes", "3", "--dim", "2", "--per-class", "6",
+                     "--seed", "4", "--out", str(out)]) == 0
+        spec = SyntheticSpec(classes=3, dim=2, per_class=6)
+        direct = tmp_path / "direct.csv"
+        save_features(
+            generate_synthetic(spec.classes, spec.dim, spec.per_class, spec.separation,
+                               spec.noise, 4, test_per_class=spec.test_per_class),
+            direct, tmp_path / "direct.csv.manifest.json", name="synthetic-4",
+        )
+        assert out.read_bytes() == direct.read_bytes()
+        manifest = tmp_path / "gen.csv.manifest.json"
+        assert manifest.read_bytes() == (tmp_path / "direct.csv.manifest.json").read_bytes()
 
     def test_calibrate_th_pipeline(self, tmp_path, capsys):
         scores = tmp_path / "s.csv"
@@ -907,6 +1010,8 @@ class TestManifestTypes:
         ({"dim": True}, "manifest key 'dim' must be a JSON integer, got True"),
         ({"classes": 4.0}, "manifest key 'classes' must be a JSON integer, got 4.0"),
         ({"classes": False}, "manifest key 'classes' must be a JSON integer, got False"),
+        ({"classes": 10**25}, "manifest key 'classes' must be below 2**63"),
+        ({"classes": 2**63}, "manifest key 'classes' must be below 2**63"),
         (5, "manifest must be a JSON object"),
         ([3, 4], "manifest must be a JSON object"),
     ])
