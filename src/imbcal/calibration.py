@@ -30,7 +30,7 @@ from . import backbone, memory
 from .breaks import fisher_jenks
 from .dataset import TRAIN, DatasetTable
 from .errors import ConfigurationError, ParameterError
-from .metrics import top1
+from .metrics import group_mean_scores, top1
 
 METHOD_TAGS = ("iso", "pl", "th", "nem", "bal", "mb", "fj")
 # calibrators that read the test features rather than the test scores
@@ -75,24 +75,6 @@ class CalibratorState:
     method: str
     params: dict
     flags: dict = field(default_factory=dict)
-
-    def to_json(self):
-        def conv(v):
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, dict):
-                return {str(k): conv(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [conv(x) for x in v]
-            if isinstance(v, (np.integer, np.floating)):
-                return v.item()
-            return v
-
-        return {
-            "method": self.method,
-            "params": conv(self.params),
-            "flags": conv(self.flags),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +451,8 @@ def fit_balanced(ctx, model, config):
 
 
 def apply_balanced(state, features):
-    features = np.asarray(features, dtype=np.float64)
-    return features @ state.params["weights"].T + state.params["biases"]
+    model = backbone.LinearModel(state.params["weights"], state.params["biases"])
+    return backbone.scores(model, features)
 
 
 # ---------------------------------------------------------------------------
@@ -480,22 +462,20 @@ def apply_balanced(state, features):
 def fit_mb(ctx):
     """Old-class factor mu_new / mu_old from ground-truth validation scores."""
     flags = {}
-    truth = ctx.val_scores[np.arange(len(ctx.val_labels)), ctx.val_labels]
-    old = np.array(ctx.old_classes, dtype=np.int64)
-    old_mask = np.isin(ctx.val_labels, old)
-    new_mask = np.isin(ctx.val_labels, np.array(ctx.new_classes, dtype=np.int64))
+    mu_old, mu_new = group_mean_scores(
+        ctx.val_scores, ctx.val_labels, (ctx.old_classes, ctx.new_classes)
+    )
     if not ctx.old_classes:
         flags["identity"] = "no old classes at the first state"
-    elif not old_mask.any() or not new_mask.any():
+    elif mu_old is None or mu_new is None:
         flags["identity"] = "a class group has no validation samples"
     else:
-        flags["mu_old"] = float(truth[old_mask].mean())
-        flags["mu_new"] = float(truth[new_mask].mean())
-        if flags["mu_old"] <= 0:
+        flags["mu_old"], flags["mu_new"] = mu_old, mu_new
+        if mu_old <= 0:
             flags["identity"] = "non-positive old-class mean score"
-    r = 1.0 if "identity" in flags else flags["mu_new"] / flags["mu_old"]
+    r = 1.0 if "identity" in flags else mu_new / mu_old
     factors = np.ones(ctx.num_classes)
-    factors[old] = r
+    factors[np.array(ctx.old_classes, dtype=np.int64)] = r
     return CalibratorState("mb", {"ratio": r, "factors": factors}, flags)
 
 
@@ -505,14 +485,11 @@ def fit_mb(ctx):
 
 def _fj_factors(ctx, num_clusters):
     assignments = fisher_jenks(ctx.class_counts, num_clusters).assignments
-    truth = ctx.val_scores[np.arange(len(ctx.val_labels)), ctx.val_labels]
-    sample_cluster = assignments[ctx.val_labels]
-
-    cluster_means = np.full(num_clusters, np.nan)
-    for cl in range(num_clusters):
-        mask = sample_cluster == cl
-        if mask.any():
-            cluster_means[cl] = truth[mask].mean()
+    groups = [np.flatnonzero(assignments == cl) for cl in range(num_clusters)]
+    cluster_means = np.array([
+        np.nan if mu is None else mu
+        for mu in group_mean_scores(ctx.val_scores, ctx.val_labels, groups)
+    ])
 
     # clusters are ordered by ascending count, so the last one holds the
     # classes with the largest per-class image counts

@@ -146,12 +146,7 @@ def _parse_ids(text, num_classes, option):
 
 
 def _cmd_run(args):
-    try:
-        with dataset.open_text(args.config) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"{args.config}: invalid JSON ({exc})") from exc
-    cfg = harness.config_from_dict(obj)
+    cfg = harness.config_from_dict(dataset.read_json(args.config, ParameterError))
     out_dir = args.out or cfg.output_dir or "."
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise ParameterError(f"{out_dir}: output path exists and is not a directory")

@@ -162,13 +162,18 @@ def generate_synthetic(
         raise ParameterError("test_per_class must be >= 1")
     if noise_scale < 0:
         raise ParameterError("noise_scale must be >= 0")
+    per_class = count_per_class + test_per_class
+    if num_classes * per_class * dim * 8 > np.iinfo(np.intp).max:
+        raise ParameterError(
+            "classes x (per_class + test_per_class) x dim float64 values "
+            "exceed numpy's largest array"
+        )
 
     generator = rng.op_rng(seed, rng.SYNTHETIC)
     centers = _centers(generator, num_classes, dim, class_separation)
 
     # Generator.normal keeps no state between calls, so one draw is the
     # per-class draws (class c's train rows, then its test rows) end to end
-    per_class = count_per_class + test_per_class
     feats = noise_scale * generator.normal(size=(num_classes, per_class, dim))
     feats += centers[:, None, :]
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
@@ -313,6 +318,23 @@ def _decode_error(path):
     return FormatError(f"{path}: not valid UTF-8")
 
 
+def read_json(path, error):
+    """The parsed contents of a UTF-8 JSON file.
+
+    JSON that does not parse raises ``error`` naming the file. That covers
+    what ``json.load`` raises besides JSONDecodeError: a plain ValueError
+    for an integer past Python's int-string digit limit, and RecursionError
+    for arrays or objects nested past the recursion limit.
+    """
+    try:
+        with open_text(path) as fh:
+            return json.load(fh)
+    except FormatError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: invalid JSON ({exc})") from exc
+
+
 def read_header(fh, path):
     """The fields of an open CSV's first line; a blank line has none."""
     line = fh.readline()
@@ -422,11 +444,7 @@ def load_features(features_path, manifest_path):
     successful parse (re)writes the sidecar. The table has the same bits
     either way, and a refused CSV gets the same message.
     """
-    try:
-        with open_text(manifest_path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    manifest = read_json(manifest_path, FormatError)
     if not isinstance(manifest, dict):
         raise FormatError(f"{manifest_path}: manifest must be a JSON object")
     for key in ("dim", "classes", "name"):

@@ -281,9 +281,13 @@ def _run_state(cfg, k, table, model, buffer, new_ids):
             top1=metrics.top1(preds, test_part.labels),
             ece=metrics.ece(backbone.softmax(calibrated), preds, test_part.labels, cfg.ece_bins),
         )
+    if not len(ctx.val_labels):
+        raise ParameterError("no validation samples")
     mu_old, mu_new = metrics.group_mean_scores(
-        ctx.val_scores, ctx.val_labels, ctx.old_classes, ctx.new_classes
+        ctx.val_scores, ctx.val_labels, (ctx.old_classes, ctx.new_classes)
     )
+    if mu_new is None:
+        raise ParameterError("no samples from new classes")
     return model, buffer, metrics.StateReport(k, mu_old, mu_new, per_method)
 
 

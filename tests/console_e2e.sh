@@ -14,7 +14,11 @@
 # new, then feature and score CSVs with a 400-digit and a 5000-digit label,
 # a manifest whose classes (10**25) is beyond int64 over a 20-digit label,
 # and a counts file with a quoted field (each exits 3 with a greppable
-# message and no traceback, and a long label is not echoed).
+# message and no traceback, and a long label is not echoed), then a config
+# with a 5000-digit memory (exit 2) and a manifest with a 5000-digit classes
+# (exit 3), each reported as invalid JSON without echoing the digits, and a
+# synthetic table of 10**25 classes through run and gen (exit 2, refused
+# before any data is drawn).
 #
 #   cd "$(mktemp -d)" && bash /path/to/tests/console_e2e.sh
 set -eo pipefail
@@ -174,3 +178,40 @@ cat err.txt
 test "$status" -eq 3
 grep -F 'quoted.csv: line 2: non-integer value' err.txt
 if grep -F Traceback err.txt; then exit 1; fi
+python -c 'print("{\"num_states\": 2, \"memory\": " + "9" * 5000 + "}")' > digits.json
+status=0
+imbcal run --config digits.json --out digits-out 2> err.txt || status=$?
+cat err.txt
+test "$status" -eq 2
+grep -F 'digits.json: invalid JSON (' err.txt
+if grep -F Traceback err.txt; then exit 1; fi
+if grep -F 99999999999999999999 err.txt; then exit 1; fi
+test ! -e digits-out
+python -c 'import json; m = json.load(open("feat.csv.manifest.json")); print(json.dumps(m).replace("\"classes\": 4", "\"classes\": " + "9" * 5000))' > digits.csv.manifest.json
+grep -F 99999999999999999999 digits.csv.manifest.json > /dev/null
+cp feat.csv digits.csv
+sed 's/feat\.csv/digits.csv/g' cfg.json > digits-manifest.json
+status=0
+imbcal run --config digits-manifest.json --out digits-out 2> err.txt || status=$?
+cat err.txt
+test "$status" -eq 3
+grep -F 'digits.csv.manifest.json: invalid JSON (' err.txt
+if grep -F Traceback err.txt; then exit 1; fi
+if grep -F 99999999999999999999 err.txt; then exit 1; fi
+test ! -e digits-out
+sed 's/"features": {.*$/"synthetic": {"classes": 10000000000000000000000000, "dim": 3, "per_class": 15}}}/; /manifest_path/d' cfg.json > too-big.json
+cat too-big.json
+status=0
+imbcal run --config too-big.json --out too-big-out 2> err.txt || status=$?
+cat err.txt
+test "$status" -eq 2
+grep -F "float64 values exceed numpy's largest array" err.txt
+if grep -F Traceback err.txt; then exit 1; fi
+test ! -e too-big-out
+status=0
+imbcal gen --classes 10000000000000000000000000 --dim 3 --per-class 15 --seed 1 --out too-big.csv 2> err.txt || status=$?
+cat err.txt
+test "$status" -eq 2
+grep -F "float64 values exceed numpy's largest array" err.txt
+if grep -F Traceback err.txt; then exit 1; fi
+test ! -e too-big.csv

@@ -519,14 +519,3 @@ class TestPredict:
 def test_calibrate_rejects_unknown_tag():
     with pytest.raises(ParameterError):
         calibrate("magic", make_ctx(np.zeros((2, 2)), [0, 1]), np.zeros((1, 2)))
-
-
-def test_state_to_json_is_serializable():
-    import json
-
-    rng = np.random.default_rng(0)
-    s = rng.normal(size=(30, 3))
-    labels = rng.integers(0, 3, size=30)
-    state = fit_platt(make_ctx(s, labels))
-    blob = json.dumps(state.to_json())
-    assert "pl" in blob

@@ -24,6 +24,15 @@ from imbcal.dataset import (
 from imbcal.errors import FormatError, ParameterError
 
 
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Make drawing the class centres, the first draw of a synthetic table, fail."""
+    def fail(*args):
+        raise AssertionError("data drawn")
+
+    monkeypatch.setattr(dataset, "_centers", fail)
+
+
 class TestGenerateSynthetic:
     def test_nearest_center_classifies_train_perfectly(self):
         t = generate_synthetic(2, 2, 10, class_separation=10.0, noise_scale=0.1, seed=1)
@@ -63,6 +72,23 @@ class TestGenerateSynthetic:
         kwargs.update(bad)
         with pytest.raises(ParameterError):
             generate_synthetic(**kwargs)
+
+    @pytest.mark.parametrize("classes, dim, per_class, test_per_class", [
+        (10**25, 3, 15, None),
+        (2**40, 2**20, 2**10, None),
+        # 2**60 float64 values are 2**63 bytes, one past np.intp's max
+        (2**20, 2**20, 2**20 - 1, 1),
+    ])
+    def test_a_table_past_numpys_largest_array_is_refused_before_any_draw(
+        self, no_draw, classes, dim, per_class, test_per_class
+    ):
+        with pytest.raises(ParameterError, match="exceed numpy's largest array"):
+            generate_synthetic(classes, dim, per_class, 1.0, 1.0, seed=0,
+                               test_per_class=test_per_class)
+
+    def test_a_table_just_under_numpys_largest_array_is_not_refused(self, no_draw):
+        with pytest.raises(AssertionError, match="data drawn"):
+            generate_synthetic(2**20, 2**20 - 1, 2**20 - 1, 1.0, 1.0, seed=0, test_per_class=1)
 
 
 class TestDatasetTable:

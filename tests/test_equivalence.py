@@ -20,6 +20,9 @@ to NEM_RTOL (relative) and the same argmax.
 Two oracles do not share the code's maths: herding's greedy definition
 in exact ``Fraction`` arithmetic, and one full-batch SGD step against
 W - lr * grad with the gradient from scipy's finite differences.
+
+One test checks one source rather than an oracle: at every state of the
+README run, the group means mb rescales by are the reported figdata means.
 """
 
 import csv
@@ -37,7 +40,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imbcal import calibration, dataset, memory, rng
+from imbcal import calibration, dataset, harness, memory, rng
 from imbcal.backbone import PLATEAU_TOL, LinearModel, TrainConfig, extend_model, softmax, train
 from imbcal.breaks import _check, _result, fisher_jenks
 from imbcal.calibration import (
@@ -62,6 +65,7 @@ from imbcal.cli import _read_counts, _read_scores, main
 from imbcal.dataset import SPLITS, TEST, TRAIN, VAL, DatasetTable, _class_id, load_features
 from imbcal.errors import FormatError, ParameterError
 from imbcal.memory import _screen, herd_order
+from test_golden import GOLDEN, README_CONFIG
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -1066,6 +1070,31 @@ def test_mb_factors_keep_negative_zero_infinities_and_nan(old):
     state = fit_mb(_factor_ctx([1, 1, 1], val_scores, [0, 1, 2], old))
     assert state.params["ratio"] != 1.0 or not old
     assert _same(apply_mb(state, scores), oracle_apply_mb(state.params["ratio"], old, scores))
+
+
+def test_mb_means_are_the_figdata_means_at_every_readme_state():
+    """mb's mu_old and mu_new are the state's reported group means, bit for bit."""
+    fitted = []
+
+    def recording_fit_mb(ctx):
+        fitted.append(fit_mb(ctx))
+        return fitted[-1]
+
+    with mock.patch.object(calibration, "fit_mb", recording_fit_mb):
+        reports, _ = harness.run_experiment(harness.config_from_dict(README_CONFIG))
+    assert [r.state_index for r in reports] == [1, 2, 3, 4, 5]
+    assert len(fitted) == len(reports)
+    figdata = (GOLDEN / "readme" / "figdata.csv").read_text().splitlines()[1:]
+    for state, report in zip(fitted, reports):
+        if report.state_index == 1:
+            assert report.mean_score_old is None and "mu_old" not in state.flags
+            continue
+        flags = state.flags
+        assert _same(flags["mu_old"], report.mean_score_old)
+        assert _same(flags["mu_new"], report.mean_score_new)
+        assert state.params["ratio"] == flags["mu_new"] / flags["mu_old"]
+        row = f"{report.state_index},{flags['mu_old']:.10g},{flags['mu_new']:.10g}"
+        assert row == figdata[report.state_index - 2]
 
 
 # ---------------------------------------------------------------------------

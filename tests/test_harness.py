@@ -34,6 +34,15 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Make drawing the class centres, the first draw of a synthetic table, fail."""
+    def fail(*args):
+        raise AssertionError("data drawn")
+
+    monkeypatch.setattr("imbcal.dataset._centers", fail)
+
+
 @pytest.fixture(scope="module")
 def small_run():
     cfg = small_config()
@@ -885,6 +894,76 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "num_states is 5, more than the 4 classes available" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("synthetic", [
+        {"classes": 10**25, "dim": 3, "per_class": 15},
+        {"classes": 2**40, "dim": 2**20, "per_class": 2**10},
+    ])
+    def test_synthetic_table_past_numpys_largest_array_exits_2(
+        self, tmp_path, capsys, no_draw, synthetic
+    ):
+        cfg = json.loads(self.run_config(tmp_path).read_text())
+        cfg["data"] = {"synthetic": synthetic}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: classes x (per_class + test_per_class) x dim float64 values " \
+               "exceed numpy's largest array" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_gen_past_numpys_largest_array_exits_2(self, tmp_path, capsys, no_draw):
+        out = tmp_path / "feat.csv"
+        assert main(["gen", "--classes", str(10**25), "--dim", "3", "--per-class", "15",
+                     "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "exceed numpy's largest array" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", [
+        '{"num_states": 2,',
+        '{"num_states": 2, "memory": ' + "9" * 5000 + "}",
+        "[" * 100000,
+    ], ids=["truncated", "5000-digit-memory", "nested-past-the-recursion-limit"])
+    def test_config_that_is_not_json_exits_2_naming_it(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: invalid JSON (" in err
+        assert "9" * 20 not in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("train_rows, message", [
+        ([10, 10, 1, 1], "no samples from new classes"),
+        ([1, 1, 1, 1], "no validation samples"),
+    ])
+    def test_a_state_without_validation_scores_exits_2(
+        self, tmp_path, capsys, train_rows, message
+    ):
+        # a class with a single train record gets no validation record, so
+        # state 2's new classes, or every class, have none
+        from imbcal.dataset import TEST, TRAIN, DatasetTable, save_features
+
+        labels = np.repeat(np.arange(4), np.array(train_rows) + 3)
+        splits = np.concatenate([[TRAIN] * n + [TEST] * 3 for n in train_rows])
+        features = np.random.default_rng(0).normal(size=(len(labels), 3)) + labels[:, None]
+        feats = tmp_path / "feat.csv"
+        save_features(DatasetTable(features, labels, splits), feats,
+                      tmp_path / "feat.csv.manifest.json")
+        cfg = {"num_states": 2, "memory": 8, "imbalance": "none", "class_order": [0, 1, 2, 3],
+               "methods": ["none"], "train": {"epochs": 2},
+               "data": {"features": {"features_path": str(feats),
+                                     "manifest_path": str(tmp_path / "feat.csv.manifest.json")}}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.warns(UserWarning, match="single train record"):
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+
     def test_calibrator_fit_error_names_state_and_method(self, tmp_path, capsys, monkeypatch):
         def failing_fit(ctx):
             raise ParameterError("no usable validation scores")
@@ -1039,6 +1118,21 @@ class TestManifestTypes:
         err = capsys.readouterr().err
         assert "feat.csv: line 1: bad header, expected 400002 fields, got 5" in err
         assert len(err) < 200
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": 3,',
+        '{"dim": 3, "classes": ' + "9" * 5000 + ', "name": "x"}',
+        "[" * 100000,
+    ], ids=["truncated", "5000-digit-classes", "nested-past-the-recursion-limit"])
+    def test_manifest_that_is_not_json_exits_3_naming_it(self, tmp_path, capsys, config, text):
+        path = tmp_path / "feat.csv.manifest.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"error: {path}: invalid JSON (" in err
+        assert "9" * 20 not in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_integer_manifest_runs(self, tmp_path, config):
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0

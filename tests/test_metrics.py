@@ -9,9 +9,7 @@ from imbcal.metrics import (
     ECE_BINS_DEFAULT,
     average_incremental_accuracy,
     ece,
-    ece_from_table,
     group_mean_scores,
-    reliability_table,
     top1,
 )
 
@@ -20,6 +18,15 @@ def binary_probs(confidences):
     """Two-column rows where column 0 holds the confidence, so pred = 0."""
     c = np.asarray(confidences, dtype=np.float64)
     return np.stack([c, 1.0 - c], axis=1)
+
+
+def binned_gap(p, preds, labels, m=ECE_BINS_DEFAULT):
+    """ECE as sum over bins of |sum of confidences - number correct| / n."""
+    conf = p.max(axis=1)
+    bins = np.minimum((conf * m).astype(int), m - 1)
+    conf_sum = np.bincount(bins, conf, m)
+    hits = np.bincount(bins, np.asarray(preds) == np.asarray(labels), m)
+    return np.abs(conf_sum - hits).sum() / len(labels)
 
 
 class TestTop1:
@@ -58,18 +65,26 @@ class TestEce:
         labels = np.array([0] * 6 + [1] * 4)
         assert ece(p, preds, labels) == pytest.approx(0.3, abs=1e-12)
 
-    def test_confidence_on_left_closed_edge(self):
-        # conf 0.07 with M=20 lands in [0.05, 0.10)
-        p = np.array([[0.07] + [0.93 / 15] * 15])
-        table = reliability_table(p, [0], [0], m=20)
-        occupied = [b for b in table if b.count]
-        assert len(occupied) == 1
-        assert (occupied[0].lo, occupied[0].hi) == (0.05, 0.10)
+    @pytest.mark.parametrize("confs, labels, m, expected", [
+        # 0.75 = 3/4 opens bin 3 beside 0.9, apart from 0.6 in bin 2
+        ([0.6, 0.75, 0.9], [0, 1, 0], 4, (0.4 + 0.65) / 3),
+        # 0.75 = 15/20 opens bin 15 beside 0.76, apart from 0.74 in bin 14
+        ([0.74, 0.75, 0.76], [0, 1, 0], 20, (0.26 + 0.51) / 3),
+        # 1.0 falls in the last, closed bin, beside 0.8
+        ([0.8, 1.0], [0, 1], 4, 0.4),
+        ([0.8, 1.0], [0, 1], 20, 0.6),
+    ], ids=["b-over-m-at-4", "b-over-m-at-20", "one-at-4", "one-at-20"])
+    def test_bin_edges(self, confs, labels, m, expected):
+        p = binary_probs(confs)
+        preds = np.zeros(len(confs), dtype=int)
+        assert ece(p, preds, labels, m=m) == pytest.approx(expected, abs=1e-12)
 
-    def test_confidence_one_in_last_bin(self):
-        p = binary_probs([1.0])
-        table = reliability_table(p, [0], [0])
-        assert table[-1].count == 1
+    @pytest.mark.parametrize("m", [1, 4, 20, 1000])
+    def test_empty_bins_add_nothing(self, m):
+        # ten samples at confidence 0.9 in one bin, six correct: |0.9 - 0.6|
+        p = binary_probs([0.9] * 10)
+        labels = np.array([0] * 6 + [1] * 4)
+        assert ece(p, np.zeros(10, dtype=int), labels, m=m) == pytest.approx(0.3, abs=1e-12)
 
     def test_default_bin_count(self):
         assert ECE_BINS_DEFAULT == 20
@@ -77,14 +92,13 @@ class TestEce:
         preds = labels = np.zeros(3, dtype=int)
         assert ece(p, preds, labels) == ece(p, preds, labels, m=20)
 
-    def test_table_recomposition(self):
+    def test_sum_over_bins(self):
         rng = np.random.default_rng(0)
         raw = rng.random((50, 5))
         p = raw / raw.sum(axis=1, keepdims=True)
         preds = p.argmax(axis=1)
         labels = rng.integers(0, 5, size=50)
-        table = reliability_table(p, preds, labels)
-        assert ece_from_table(table, 50) == pytest.approx(ece(p, preds, labels), abs=1e-12)
+        assert ece(p, preds, labels) == pytest.approx(binned_gap(p, preds, labels), abs=1e-12)
 
     def test_rows_must_sum_to_one(self):
         with pytest.raises(ParameterError):
@@ -115,23 +129,28 @@ class TestGroupMeanScores:
     def test_split_means(self):
         s = np.array([[3.0, 0.0], [1.0, 0.0], [0.0, 5.0]])
         labels = [0, 0, 1]
-        mu_old, mu_new = group_mean_scores(s, labels, old_classes=[0], new_classes=[1])
+        mu_old, mu_new = group_mean_scores(s, labels, ([0], [1]))
         assert mu_old == pytest.approx(2.0)
         assert mu_new == pytest.approx(5.0)
 
-    def test_no_old_classes_gives_none(self):
+    def test_empty_group_gives_none(self):
         s = np.array([[2.0, 0.0], [0.0, 4.0]])
-        mu_old, mu_new = group_mean_scores(s, [0, 1], old_classes=[], new_classes=[0, 1])
+        mu_old, mu_new = group_mean_scores(s, [0, 1], ([], [0, 1]))
         assert mu_old is None
         assert mu_new == pytest.approx(3.0)
 
     def test_uses_ground_truth_column(self):
         # label picks the column even when another class scores higher
         s = np.array([[1.0, 9.0]])
-        _, mu_new = group_mean_scores(s, [0], old_classes=[], new_classes=[0])
-        assert mu_new == 1.0
+        (mu,) = group_mean_scores(s, [0], ([0],))
+        assert mu == 1.0
 
-    def test_no_new_samples_rejected(self):
+    def test_group_without_samples_gives_none(self):
         s = np.array([[1.0, 2.0]])
-        with pytest.raises(ParameterError):
-            group_mean_scores(s, [0], old_classes=[0], new_classes=[1])
+        assert group_mean_scores(s, [0], ([0], [1])) == [1.0, None]
+
+    def test_one_mean_per_group_in_order(self):
+        s = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 6.0], [4.0, 0.0, 0.0]])
+        labels = np.array([0, 1, 2, 0])
+        groups = [np.array([2]), (0, 1), range(0), [0]]
+        assert group_mean_scores(s, labels, groups) == [6.0, 7.0 / 3.0, None, 2.5]

@@ -16,8 +16,6 @@ USERS = PROGRAM + sorted((ROOT / "bench").glob("*.py"))
 
 ALLOWED = {
     "brute_force_breaks",  # the enumeration oracle of fisher_jenks
-    # kept for a machine-readable run trace to adopt
-    "to_json",
 }
 
 
