@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .dataset import TRAIN
 from .errors import ParameterError
 
 # mean-epoch-loss improvement below this counts as a plateau epoch
@@ -96,22 +95,21 @@ def softmax(score_matrix):
 
 
 def train(model, table, config):
-    """Mini-batch SGD on softmax cross-entropy over train-split records.
+    """Mini-batch SGD on softmax cross-entropy over every record of ``table``.
 
     The learning rate is multiplied by ``lr_decay`` whenever the mean
     epoch loss fails to improve by at least PLATEAU_TOL for
     ``plateau_patience`` consecutive epochs. Deterministic given the
     config seed.
     """
-    part = table.only(split=TRAIN)
-    if len(part) == 0:
-        raise ParameterError("no train-split records to train on")
-    if part.labels.max() >= model.num_classes:
+    if len(table) == 0:
+        raise ParameterError("no records to train on")
+    if table.labels.max() >= model.num_classes:
         raise ParameterError("table contains labels beyond the model's classes")
-    if part.dim != model.dim:
+    if table.dim != model.dim:
         raise ParameterError("feature dimension does not match the model")
 
-    X, y = part.features, part.labels
+    X, y = table.features, table.labels
     n = len(y)
     W = model.weights.copy()
     b = model.biases.copy()

@@ -440,7 +440,7 @@ def fit_balanced(ctx, model, config):
     """Retrain a copy of the classification layer on a balanced exemplar table.
 
     Each class contributes the train-split rows among its first floor(B / N)
-    exemplars, since ``train`` fits train-split rows only.
+    exemplars; ``train`` fits every row it is given.
     """
     rows = [r[:ctx.buffer.capacity // ctx.num_classes] for r in _exemplar_rows(ctx)]
     rows = [r[ctx.table.splits[r] == TRAIN] for r in rows]

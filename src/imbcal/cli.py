@@ -6,7 +6,8 @@ Subcommands:
   breaks     Fisher-Jenks natural breaks of a value list, as JSON
   calibrate  fit-and-apply a score-based calibrator to a labeled score CSV
 
-Exit codes: 0 success, 2 configuration/usage error, 3 data or file error.
+Exit codes: 0 success, 2 configuration/usage error or out of memory, 3 data or
+file error.
 """
 
 from __future__ import annotations
@@ -239,6 +240,9 @@ def main(argv=None):
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

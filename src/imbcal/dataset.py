@@ -95,16 +95,6 @@ class DatasetTable:
         """The rows picked by a boolean mask or an array of row ids, in order."""
         return DatasetTable(self.features[rows], self.labels[rows], self.splits[rows])
 
-    def only(self, split=None, classes=None):
-        """Restrict to the given split name(s) and/or class ids."""
-        mask = np.ones(len(self), dtype=bool)
-        if split is not None:
-            names = (split,) if isinstance(split, str) else tuple(split)
-            mask &= np.logical_or.reduce([self.splits == name for name in names])
-        if classes is not None:
-            mask &= np.isin(self.labels, np.fromiter(classes, dtype=np.int64))
-        return self.subset(mask)
-
     def relabeled(self, mapping):
         """Return a copy with labels passed through ``mapping``, which must map every label."""
         classes, inverse = np.unique(self.labels, return_inverse=True)
@@ -113,14 +103,6 @@ class DatasetTable:
         except KeyError as exc:
             raise ParameterError(f"label {exc.args[0]} has no mapping") from None
         return DatasetTable(self.features, lookup[inverse], self.splits)
-
-    @staticmethod
-    def concat(tables):
-        return DatasetTable(
-            np.concatenate([t.features for t in tables]),
-            np.concatenate([t.labels for t in tables]),
-            np.concatenate([t.splits for t in tables]),
-        )
 
 
 def _centers(generator, num_classes, dim, class_separation):

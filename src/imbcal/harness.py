@@ -237,35 +237,46 @@ def run_experiment(cfg):
 def _run_state(cfg, k, table, model, buffer, new_ids):
     """State ``k``, which adds the classes ``new_ids``: (model, buffer, report).
 
-    The state's tables and score matrices live only in this call.
+    The state's rows are picked here, once, as row ids into ``table``: the
+    new classes' train and val rows in table order, then the memory's rows
+    class by class in herded order. Its tables and score matrices live
+    only in this call.
     """
     model = backbone.extend_model(model, len(new_ids), table.dim, derive_seed(cfg.model_seed, 1, k))
-    current = dataset.DatasetTable.concat([
-        table.only(split=(dataset.TRAIN, dataset.VAL), classes=new_ids),
-        memory.memory_dataset(buffer, table),
+    new = (table.labels >= new_ids.start) & (table.labels < new_ids.stop)
+    rows = np.concatenate([
+        np.flatnonzero(new & (table.splits != dataset.TEST)), memory.memory_dataset(buffer)
     ])
+    train = table.splits[rows] == dataset.TRAIN
+    train_part = table.subset(rows[train])
     train_config = replace(cfg.train, seed=derive_seed(cfg.model_seed, 1000, k))
-    model = backbone.train(model, current, train_config)
+    model = backbone.train(model, train_part, train_config)
     buffer = memory.admit_and_rebalance(buffer, table, new_ids)
 
-    # current holds only train and val rows
-    train = current.splits == dataset.TRAIN
-    counts = np.bincount(current.labels[train], minlength=new_ids.stop)
+    counts = np.bincount(train_part.labels, minlength=new_ids.stop)
     if np.any(counts == 0):
         raise ConfigurationError(f"state {k}: a class has no train records")
+    val_rows = rows[~train]
     ctx = calibration.CalibContext(
-        train_scores=backbone.scores(model, current.features[train]),
-        train_labels=current.labels[train],
-        val_scores=backbone.scores(model, current.features[~train]),
-        val_labels=current.labels[~train],
+        train_scores=backbone.scores(model, train_part.features),
+        train_labels=train_part.labels,
+        val_scores=backbone.scores(model, table.features[val_rows]),
+        val_labels=table.labels[val_rows],
         class_counts=counts,
         old_classes=tuple(range(new_ids.start)),
         new_classes=tuple(new_ids),
         table=table,
         buffer=buffer,
     )
+    if not len(val_rows):
+        raise ConfigurationError(f"state {k}: no validation samples")
+    mu_old, mu_new = metrics.group_mean_scores(
+        ctx.val_scores, ctx.val_labels, (ctx.old_classes, ctx.new_classes)
+    )
+    if mu_new is None:
+        raise ConfigurationError(f"state {k}: no samples from new classes")
 
-    test_part = table.only(split=dataset.TEST, classes=range(new_ids.stop))
+    test_part = table.subset((table.splits == dataset.TEST) & (table.labels < new_ids.stop))
     raw = backbone.scores(model, test_part.features)
     bal_config = replace(cfg.train, seed=derive_seed(cfg.model_seed, 2000, k))
     per_method = {}
@@ -281,13 +292,6 @@ def _run_state(cfg, k, table, model, buffer, new_ids):
             top1=metrics.top1(preds, test_part.labels),
             ece=metrics.ece(backbone.softmax(calibrated), preds, test_part.labels, cfg.ece_bins),
         )
-    if not len(ctx.val_labels):
-        raise ParameterError("no validation samples")
-    mu_old, mu_new = metrics.group_mean_scores(
-        ctx.val_scores, ctx.val_labels, (ctx.old_classes, ctx.new_classes)
-    )
-    if mu_new is None:
-        raise ParameterError("no samples from new classes")
     return model, buffer, metrics.StateReport(k, mu_old, mu_new, per_method)
 
 

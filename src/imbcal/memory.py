@@ -206,7 +206,7 @@ def admit_and_rebalance(buffer, table, new_ids):
     return MemoryBuffer(buffer.capacity, classes)
 
 
-def memory_dataset(buffer, table):
-    """The stored rows of ``table``, class by class, in herded order."""
+def memory_dataset(buffer):
+    """The stored row ids, class by class, in herded order."""
     rows = [buffer.classes[c] for c in sorted(buffer.classes)]
-    return table.subset(np.concatenate([np.empty(0, dtype=np.int64), *rows]))
+    return np.concatenate([np.empty(0, dtype=np.int64), *rows])

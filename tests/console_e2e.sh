@@ -18,7 +18,9 @@
 # with a 5000-digit memory (exit 2) and a manifest with a 5000-digit classes
 # (exit 3), each reported as invalid JSON without echoing the digits, and a
 # synthetic table of 10**25 classes through run and gen (exit 2, refused
-# before any data is drawn).
+# before any data is drawn), and a synthetic table of 10**6 classes x 100
+# rows x 1000 dims through run and gen, each in a subshell whose virtual
+# memory is capped at 1.5 GB (exit 2 with "out of memory", no output).
 #
 #   cd "$(mktemp -d)" && bash /path/to/tests/console_e2e.sh
 set -eo pipefail
@@ -215,3 +217,22 @@ test "$status" -eq 2
 grep -F "float64 values exceed numpy's largest array" err.txt
 if grep -F Traceback err.txt; then exit 1; fi
 test ! -e too-big.csv
+cat > oom.json <<'JSON'
+{"num_states": 2, "memory": 1000000, "methods": ["none"],
+ "data": {"synthetic": {"classes": 1000000, "dim": 1000, "per_class": 100}}}
+JSON
+status=0
+(ulimit -v 1500000; imbcal run --config oom.json --out oom-out) 2> err.txt || status=$?
+cat err.txt
+test "$status" -eq 2
+grep -F 'error: out of memory: ' err.txt
+if grep -F Traceback err.txt; then exit 1; fi
+test ! -e oom-out
+status=0
+(ulimit -v 1500000; imbcal gen --classes 1000000 --dim 1000 --per-class 100 --seed 1 --out oom.csv) 2> err.txt || status=$?
+cat err.txt
+test "$status" -eq 2
+grep -F 'error: out of memory: ' err.txt
+if grep -F Traceback err.txt; then exit 1; fi
+test ! -e oom.csv
+test ! -e oom.csv.manifest.json

@@ -100,8 +100,8 @@ class TestTrain:
     def test_separated_blobs_reach_95_percent(self):
         t = generate_synthetic(2, 4, 50, class_separation=6.0, noise_scale=1.0, seed=0)
         model = extend_model(None, 2, 4, seed=0)
-        model = train(model, t, TrainConfig(epochs=25, seed=0))
-        train_part = t.only(split="train")
+        train_part = t.subset(t.splits == "train")
+        model = train(model, train_part, TrainConfig(epochs=25, seed=0))
         preds = scores(model, train_part.features).argmax(axis=1)
         assert np.mean(preds == train_part.labels) >= 0.95
 
@@ -124,10 +124,10 @@ class TestTrain:
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
 
-    def test_empty_train_split_rejected(self):
-        t = generate_synthetic(2, 4, 5, 3.0, 1.0, seed=0).only(split="test")
+    def test_empty_table_rejected(self):
+        t = generate_synthetic(2, 4, 5, 3.0, 1.0, seed=0).subset(np.zeros(0, dtype=np.int64))
         model = extend_model(None, 2, 4, seed=0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="no records to train on"):
             train(model, t, TrainConfig())
 
     def test_out_of_range_labels_rejected(self):

@@ -37,8 +37,9 @@ class TestGenerateSynthetic:
     def test_nearest_center_classifies_train_perfectly(self):
         t = generate_synthetic(2, 2, 10, class_separation=10.0, noise_scale=0.1, seed=1)
         # without noise the train rows are the blob centers, two per class
-        centers = generate_synthetic(2, 2, 2, 10.0, 0.0, seed=1).only(split="train").features[::2]
-        train = t.only(split="train")
+        blobs = generate_synthetic(2, 2, 2, 10.0, 0.0, seed=1)
+        centers = blobs.features[blobs.splits == "train"][::2]
+        train = t.subset(t.splits == "train")
         dists = np.linalg.norm(train.features[:, None, :] - centers[None], axis=2)
         assert np.array_equal(dists.argmin(axis=1), train.labels)
 
@@ -56,12 +57,13 @@ class TestGenerateSynthetic:
 
     def test_balanced_test_split(self):
         t = generate_synthetic(3, 2, 8, 5.0, 1.0, seed=0, test_per_class=5)
-        test = t.only(split="test")
+        test = t.subset(t.splits == "test")
         _, counts = np.unique(test.labels, return_counts=True)
         assert counts.tolist() == [5, 5, 5]
 
     def test_min_pairwise_center_distance_equals_separation(self):
-        centers = generate_synthetic(6, 4, 2, 3.0, 0.0, seed=5).only(split="train").features[::2]
+        blobs = generate_synthetic(6, 4, 2, 3.0, 0.0, seed=5)
+        centers = blobs.features[blobs.splits == "train"][::2]
         d = np.linalg.norm(centers[:, None] - centers[None], axis=2)
         assert d[np.triu_indices(6, k=1)].min() == pytest.approx(3.0)
 
@@ -145,7 +147,7 @@ class TestApplyImbalance:
     def test_never_touches_test_records(self):
         t = generate_synthetic(4, 2, 120, 5.0, 1.0, seed=0, test_per_class=9)
         out = apply_imbalance(t, "strong", 5)
-        assert np.array_equal(out.only(split="test").features, t.only(split="test").features)
+        assert np.array_equal(out.features[out.splits == "test"], t.features[t.splits == "test"])
 
     def test_never_increases_counts(self):
         t = generate_synthetic(6, 2, 60, 5.0, 1.0, seed=0)
@@ -214,20 +216,20 @@ class TestSplitTrainVal:
         t = generate_synthetic(2, 2, 20, 5.0, 1.0, seed=0)
         out = split_train_val(t, 0.1, seed=1)
         for c in (0, 1):
-            assert len(out.only(split="val", classes=[c])) == 2
+            assert np.count_nonzero((out.splits == "val") & (out.labels == c)) == 2
             assert out.census[c] == 18
 
     def test_singleton_class_gets_no_val(self):
         t = DatasetTable(np.zeros((2, 2)), [0, 1], ["train", "train"])
         with pytest.warns(UserWarning):
             out = split_train_val(t, 0.1, seed=1)
-        assert len(out.only(split="val")) == 0
+        assert np.count_nonzero(out.splits == "val") == 0
 
     def test_partition_property(self):
         t = generate_synthetic(3, 2, 17, 5.0, 1.0, seed=0)
         out = split_train_val(t, 0.25, seed=2)
         for c in range(3):
-            n_val = len(out.only(split="val", classes=[c]))
+            n_val = np.count_nonzero((out.splits == "val") & (out.labels == c))
             assert n_val == int(np.ceil(0.25 * 17))
             assert out.census[c] + n_val == 17
         assert np.array_equal(out.features, t.features)
@@ -560,9 +562,9 @@ def test_imbalance_then_split_preserve_all_invariants(seed):
     out = split_train_val(out, 0.1, seed=seed)
     for c in range(8):
         n_train = out.census[c]
-        n_val = len(out.only(split="val", classes=[c]))
+        n_val = np.count_nonzero((out.splits == "val") & (out.labels == c))
         assert n_train >= 1 and n_val >= 1
-    assert len(out.only(split="test")) == 32
+    assert np.count_nonzero(out.splits == "test") == 32
 
 
 RUN_AND_REPORT_NUMPY_MA = """

@@ -8,8 +8,9 @@ tensor, herding that orders every row of one class, SGD that takes the
 softmax and the loss with an exp each, the feature and score CSV
 loaders that call ``float`` on each ``csv.reader`` cell, the th and mb
 applies that preceded the shared per-class factor multiply, nem and
-bal reading the memory copied out as one table, and the table build
-that drew, scanned and relabeled one class at a time. The fast
+bal reading the memory copied out as one table, a state's rows copied
+out as tables and joined before a train mask split them, and the table
+build that drew, scanned and relabeled one class at a time. The fast
 versions perform the same IEEE operations on the same operands, so
 results must match bit for bit (``tobytes()``), not merely to a
 tolerance; the loaders must also fail with the same message and line.
@@ -40,7 +41,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imbcal import calibration, dataset, harness, memory, rng
+from imbcal import backbone, calibration, dataset, harness, memory, rng
 from imbcal.backbone import PLATEAU_TOL, LinearModel, TrainConfig, extend_model, softmax, train
 from imbcal.breaks import _check, _result, fisher_jenks
 from imbcal.calibration import (
@@ -192,9 +193,15 @@ def oracle_apply_nem(means, features):
     return 1.0 / (dists + NEM_EPSILON)
 
 
+def oracle_memory_table(buffer, table):
+    """The memory copied out as one table, class by class, in herded order."""
+    rows = [buffer.classes[c] for c in sorted(buffer.classes)]
+    return table.subset(np.concatenate([np.empty(0, dtype=np.int64), *rows]))
+
+
 def _oracle_exemplars(buffer, table, num_classes):
     """The memory copied out as one table, regrouped by scanning its labels."""
-    exemplars = memory.memory_dataset(buffer, table)
+    exemplars = oracle_memory_table(buffer, table)
     return exemplars, [np.flatnonzero(exemplars.labels == c) for c in range(num_classes)]
 
 
@@ -204,10 +211,12 @@ def oracle_nem_means(buffer, table, num_classes):
 
 
 def oracle_balanced(buffer, table, num_classes, model, config):
-    """bal's retrained layer: the first floor(B / N) rows of each class of the copy."""
+    """bal's retrained layer: the train-split rows among the first floor(B / N)
+    rows of each class of the copy."""
     exemplars, rows = _oracle_exemplars(buffer, table, num_classes)
     quota = buffer.capacity // num_classes
-    return train(model, exemplars.subset(np.concatenate([r[:quota] for r in rows])), config)
+    balanced = exemplars.subset(np.concatenate([r[:quota] for r in rows]))
+    return train(model, balanced.subset(balanced.splits == TRAIN), config)
 
 
 def oracle_apply_threshold(class_counts, probs):
@@ -253,7 +262,7 @@ def _oracle_mean_loss(logits, labels):
 
 def oracle_train(model, table, config):
     """The SGD loop with separate softmax and loss; also returns the final lr."""
-    part = table.only(split=TRAIN)
+    part = table.subset(table.splits == TRAIN)
     X, y = part.features, part.labels
     n = len(y)
     W = model.weights.copy()
@@ -889,6 +898,67 @@ def test_nem_and_bal_match_with_a_short_class_and_an_all_val_class():
 
 
 # ---------------------------------------------------------------------------
+# a state's rows: row ids into the run's table, not tables copied and joined
+
+
+def oracle_state_tables(table, buffer, new_ids):
+    """A state's train, val and test tables as they were built from copies:
+    the new classes' train and val rows and the memory, each copied out as a
+    table, joined, then split by the train mask; and the seen classes' test rows."""
+    splits_in = np.logical_or.reduce([table.splits == name for name in (TRAIN, VAL)])
+    new = table.subset(splits_in & np.isin(table.labels, np.fromiter(new_ids, dtype=np.int64)))
+    exemplars = oracle_memory_table(buffer, table)
+    current = DatasetTable(*(np.concatenate([getattr(new, a), getattr(exemplars, a)])
+                             for a in ("features", "labels", "splits")))
+    train_mask = current.splits == TRAIN
+    seen = np.fromiter(range(max(new_ids) + 1), dtype=np.int64)
+    test = table.subset((table.splits == TEST) & np.isin(table.labels, seen))
+    return current.subset(train_mask), current.subset(~train_mask), test
+
+
+def test_each_readme_state_reads_the_rows_the_copied_tables_held():
+    """At every state, the table train fits, the CalibContext arrays and the
+    test rows equal, bit for bit, those of the copy-and-join construction."""
+    states, calibrating = [], []
+    backbone_train, calibrate = backbone.train, calibration.calibrate
+
+    def recording_train(model, table, config):
+        trained = backbone_train(model, table, config)
+        if not calibrating:  # bal retrains inside calibrate
+            states.append({"table": table, "model": trained})
+        return trained
+
+    def recording_calibrate(method, ctx, raw, features, model, config):
+        states[-1].update(ctx=ctx, raw=raw, features=features, calibrated_model=model)
+        calibrating.append(method)
+        try:
+            return calibrate(method, ctx, raw, features, model, config)
+        finally:
+            calibrating.pop()
+
+    cfg = harness.config_from_dict(README_CONFIG)
+    with mock.patch.object(backbone, "train", recording_train), \
+            mock.patch.object(calibration, "calibrate", recording_calibrate):
+        harness.run_experiment(cfg)
+    assert len(states) == cfg.num_states
+    buffer = memory.MemoryBuffer.empty(cfg.memory)
+    for state in states:
+        ctx, model = state["ctx"], state["model"]
+        assert state["calibrated_model"] is model
+        old_train, old_val, old_test = oracle_state_tables(ctx.table, buffer, ctx.new_classes)
+        assert _same_table(state["table"], old_train)
+        assert _same(ctx.train_scores, backbone.scores(model, old_train.features))
+        assert _same(ctx.train_labels, old_train.labels)
+        assert _same(ctx.val_scores, backbone.scores(model, old_val.features))
+        assert _same(ctx.val_labels, old_val.labels)
+        assert _same(ctx.class_counts,
+                     np.bincount(old_train.labels, minlength=ctx.new_classes[-1] + 1))
+        assert _same(state["features"], old_test.features)
+        assert _same(state["raw"], backbone.scores(model, old_test.features))
+        buffer = ctx.buffer
+
+
+# ---------------------------------------------------------------------------
 # the table build: one draw, each class's train rows found once
 
 
@@ -1373,7 +1443,7 @@ def test_train_is_bitwise_equal_to_softmax_plus_loss(
     config = TrainConfig(epochs=epochs, batch_size=batch_size,
                          plateau_patience=patience, seed=seed)
     expected, _ = oracle_train(model, table, config)
-    assert _same_model(train(model, table, config), expected)
+    assert _same_model(train(model, table.subset(table.splits == TRAIN), config), expected)
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 32])
@@ -1385,7 +1455,7 @@ def test_train_matches_through_plateau_decay(batch_size):
                          plateau_patience=1, seed=batch_size)
     expected, final_lr = oracle_train(model, table, config)
     assert final_lr < config.initial_lr
-    assert _same_model(train(model, table, config), expected)
+    assert _same_model(train(model, table.subset(table.splits == TRAIN), config), expected)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -1395,7 +1465,7 @@ def test_full_batch_step_is_w_minus_lr_times_the_gradient(seed):
     # step agrees to 1e-6
     optimize = pytest.importorskip("scipy.optimize")
     model, table = _train_case(40, 4, 3, seed)
-    part = table.only(split=TRAIN)
+    part = table.subset(table.splits == TRAIN)
     classes, dim = model.weights.shape
     lr = 0.5
 
@@ -1406,7 +1476,7 @@ def test_full_batch_step_is_w_minus_lr_times_the_gradient(seed):
     theta = np.concatenate([model.weights.ravel(), model.biases])
     step = theta - lr * optimize.approx_fprime(theta, mean_loss, 1e-7)
     config = TrainConfig(epochs=1, initial_lr=lr, batch_size=len(part), seed=seed)
-    stepped = train(model, table, config)
+    stepped = train(model, part, config)
     got = np.concatenate([stepped.weights.ravel(), stepped.biases])
     assert np.abs(got - theta).max() > 1e-2  # the step is not negligible
     np.testing.assert_allclose(got, step, rtol=0, atol=1e-6)

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from imbcal import harness
 from imbcal.cli import main
+from imbcal.dataset import DatasetTable
 from imbcal.errors import ParameterError
-from imbcal.memory import memory_dataset
 from imbcal.harness import (
     ALL_METHODS,
     ExperimentConfig,
@@ -93,18 +94,29 @@ class TestRunExperiment:
         reports, _ = run_experiment(cfg)
         assert len(reports) == 3
 
-    def test_memory_is_copied_out_once_per_state(self, monkeypatch):
-        # nem and bal read the memory's row ids; only the training table copies it
-        calls = []
+    @pytest.mark.parametrize("methods, per_state", [
+        (("none",), 2),  # the training table and the test table
+        (ALL_METHODS, 3),  # and bal's balanced table
+    ])
+    def test_each_state_builds_its_tables_once(self, monkeypatch, methods, per_state):
+        built, states = [], []
+        init, run_state = DatasetTable.__init__, harness._run_state
 
-        def counted(buffer, table):
-            calls.append(len(buffer.classes))
-            return memory_dataset(buffer, table)
+        def counted_init(self, *args):
+            built.append(self)
+            init(self, *args)
 
-        monkeypatch.setattr("imbcal.memory.memory_dataset", counted)
-        reports, _ = run_experiment(small_config())
-        assert set(reports[0].per_method) == set(ALL_METHODS)
-        assert calls == [0, 3, 6]  # the classes stored before each state trains
+        def counted_state(*args):
+            start = len(built)
+            out = run_state(*args)
+            states.append(len(built) - start)
+            return out
+
+        monkeypatch.setattr(DatasetTable, "__init__", counted_init)
+        monkeypatch.setattr(harness, "_run_state", counted_state)
+        reports, _ = run_experiment(small_config(methods=methods))
+        assert set(reports[0].per_method) == set(methods)
+        assert states == [per_state] * 3
 
 
 class TestWriteOutputs:
@@ -922,6 +934,26 @@ class TestCli:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    def test_out_of_memory_exits_2_without_outputs(self, tmp_path, capsys, monkeypatch, command):
+        def no_room(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. TiB for an array with shape "
+                              "(1000000, 100, 1000) and data type float64")
+
+        monkeypatch.setattr("imbcal.dataset.generate_synthetic", no_room)
+        out = tmp_path / "out"
+        if command == "run":
+            argv = ["run", "--config", str(self.run_config(tmp_path)), "--out", str(out)]
+        else:
+            argv = ["gen", "--classes", "1000000", "--dim", "1000", "--per-class", "100",
+                    "--seed", "1", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 745. TiB for an array " \
+                      "with shape (1000000, 100, 1000) and data type float64\n"
+        left = ["cfg.json"] if command == "run" else []
+        assert sorted(p.name for p in tmp_path.iterdir()) == left
+
     @pytest.mark.parametrize("text", [
         '{"num_states": 2,',
         '{"num_states": 2, "memory": ' + "9" * 5000 + "}",
@@ -937,16 +969,18 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("train_rows, message", [
-        ([10, 10, 1, 1], "no samples from new classes"),
-        ([1, 1, 1, 1], "no validation samples"),
+    @pytest.mark.parametrize("methods", [["none"], list(ALL_METHODS)])
+    @pytest.mark.parametrize("train_rows, state, message", [
+        ([10, 10, 1, 1], 2, "no samples from new classes"),
+        ([1, 1, 1, 1], 1, "no validation samples"),
     ])
     def test_a_state_without_validation_scores_exits_2(
-        self, tmp_path, capsys, train_rows, message
+        self, tmp_path, capsys, monkeypatch, train_rows, state, message, methods
     ):
         # a class with a single train record gets no validation record, so
         # state 2's new classes, or every class, have none
-        from imbcal.dataset import TEST, TRAIN, DatasetTable, save_features
+        from imbcal import calibration
+        from imbcal.dataset import TEST, TRAIN, save_features
 
         labels = np.repeat(np.arange(4), np.array(train_rows) + 3)
         splits = np.concatenate([[TRAIN] * n + [TEST] * 3 for n in train_rows])
@@ -955,14 +989,23 @@ class TestCli:
         save_features(DatasetTable(features, labels, splits), feats,
                       tmp_path / "feat.csv.manifest.json")
         cfg = {"num_states": 2, "memory": 8, "imbalance": "none", "class_order": [0, 1, 2, 3],
-               "methods": ["none"], "train": {"epochs": 2},
+               "methods": methods, "train": {"epochs": 2},
                "data": {"features": {"features_path": str(feats),
                                      "manifest_path": str(tmp_path / "feat.csv.manifest.json")}}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
+        calibrate, calibrated = calibration.calibrate, []
+
+        def recording_calibrate(method, ctx, *args):
+            calibrated.append(len(ctx.class_counts) // 2)  # the state: 2 classes each
+            return calibrate(method, ctx, *args)
+
+        monkeypatch.setattr(calibration, "calibrate", recording_calibrate)
         with pytest.warns(UserWarning, match="single train record"):
             assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert f"error: {message}\n" in capsys.readouterr().err
+        assert f"error: state {state}: {message}\n" in capsys.readouterr().err
+        assert calibrated == [1] * len(methods) * (state - 1)
+        assert not (tmp_path / "out").exists()
 
     def test_calibrator_fit_error_names_state_and_method(self, tmp_path, capsys, monkeypatch):
         def failing_fit(ctx):

@@ -136,24 +136,28 @@ class TestAdmitAndRebalance:
         buf = admit_and_rebalance(MemoryBuffer.empty(12), t, [0, 1, 2])
         for c, rows in buf.classes.items():
             assert np.all(t.labels[rows] == c) and np.all(t.splits[rows] != "test")
-            own = t.only(split=("train", "val"), classes=[c]).features
+            own = t.features[(t.splits != "test") & (t.labels == c)]
             picks = herd_order(own, [np.arange(len(own))], [len(rows)])
             assert np.array_equal(t.features[rows], own[picks])
 
 
 class TestMemoryDataset:
     def test_empty_buffer(self):
-        out = memory_dataset(MemoryBuffer.empty(5), table_for({0: 3}))
-        assert len(out) == 0 and out.dim == 3
+        out = memory_dataset(MemoryBuffer.empty(5))
+        assert len(out) == 0 and out.dtype == np.int64
+
+    def test_class_by_class_in_herded_order(self):
+        buf = MemoryBuffer(6, {2: np.array([5, 4]), 0: np.array([1, 3, 0])})
+        assert memory_dataset(buf).tolist() == [1, 3, 0, 5, 4]
 
     def test_census_matches_stored_counts(self):
         table = table_for({0: 8, 1: 8, 2: 8})
         buf = admit_and_rebalance(MemoryBuffer.empty(10), table, [0, 1, 2])
-        assert memory_dataset(buf, table).census == {0: 4, 1: 3, 2: 3}
+        assert table.subset(memory_dataset(buf)).census == {0: 4, 1: 3, 2: 3}
 
     def test_val_flags_preserved(self):
         feats = np.arange(12, dtype=float).reshape(6, 2)
         t = DatasetTable(feats, [0] * 6, ["train", "val", "train", "val", "train", "train"])
         buf = admit_and_rebalance(MemoryBuffer.empty(6), t, [0])
-        out = memory_dataset(buf, t)
-        assert sorted(out.splits.tolist()) == ["train"] * 4 + ["val"] * 2
+        out = t.splits[memory_dataset(buf)]
+        assert sorted(out.tolist()) == ["train"] * 4 + ["val"] * 2
