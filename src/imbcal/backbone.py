@@ -87,11 +87,15 @@ def scores(model, features):
 
 
 def softmax(score_matrix):
-    """Row-wise softmax with max-subtraction for numerical stability."""
+    """Row-wise softmax with max-subtraction for numerical stability.
+
+    One (n, N) allocation: the shift, exp and division run in place.
+    """
     s = np.asarray(score_matrix, dtype=np.float64)
-    shifted = s - s.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    out = np.subtract(s, s.max(axis=-1, keepdims=True))
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def train(model, table, config):

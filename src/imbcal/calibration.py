@@ -347,9 +347,14 @@ def fit_platt(ctx):
 
 
 def apply_platt(state, scores):
+    """1 / (1 + exp(clip(s A + C))) per class, in place after one allocation."""
     scores = np.asarray(scores, dtype=np.float64)
-    z = np.clip(scores * state.params["A"] + state.params["C"], -500, 500)
-    return 1.0 / (1.0 + np.exp(z))
+    out = np.multiply(scores, state.params["A"])
+    out += state.params["C"]
+    np.clip(out, -500, 500, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,8 @@ def _run_state(cfg, k, table, model, buffer, new_ids):
             top1=metrics.top1(preds, test_part.labels),
             ece=metrics.ece(backbone.softmax(calibrated), preds, test_part.labels, cfg.ece_bins),
         )
+        # the next method fits without this one's (test rows, classes) scores
+        del calibrated, preds
     return model, buffer, metrics.StateReport(k, mu_old, mu_new, per_method)
 
 

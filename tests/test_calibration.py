@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from imbcal import backbone
 from imbcal.backbone import TrainConfig, extend_model, scores
 from imbcal.calibration import (
+    METHOD_TAGS,
     NEM_EPSILON,
     CalibContext,
     CalibratorState,
@@ -218,6 +219,18 @@ class TestPlatt:
         out = apply_platt(state, s)
         assert out.shape == s.shape
         assert np.all((out > 0) & (out < 1))
+
+    def test_apply_peaks_at_its_output(self):
+        gen = np.random.default_rng(0)
+        s = gen.normal(size=(2000, 300))
+        state = CalibratorState("pl", {"A": gen.normal(size=300), "C": gen.normal(size=300)})
+        tracemalloc.start()
+        try:
+            out = apply_platt(state, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
 
     @staticmethod
     def _smoothed_nll(params, s, t):
@@ -519,3 +532,27 @@ class TestPredict:
 def test_calibrate_rejects_unknown_tag():
     with pytest.raises(ParameterError):
         calibrate("magic", make_ctx(np.zeros((2, 2)), [0, 1]), np.zeros((1, 2)))
+
+
+def test_calibrators_leave_their_inputs_alone():
+    """Every method fits and applies with every input read-only, and leaves
+    each input's bytes as they were."""
+    gen = np.random.default_rng(0)
+    n_classes, dim = 3, 4
+    table, buffer = exemplar_table({c: gen.normal(size=(10, dim)) + 2 * c for c in range(n_classes)})
+    model = extend_model(None, n_classes, dim, seed=0)
+    train_scores = scores(model, table.features)
+    ctx = make_ctx(train_scores, table.labels, train_scores.copy(), table.labels.copy(),
+                   old=(0,), table=table, buffer=buffer)
+    features = gen.normal(size=(7, dim))
+    raw = scores(model, features)
+    inputs = [raw, features, model.weights, model.biases, ctx.train_scores, ctx.train_labels,
+              ctx.val_scores, ctx.val_labels, ctx.class_counts, table.features, table.labels,
+              table.splits, *buffer.classes.values()]
+    for a in inputs:
+        a.setflags(write=False)
+    before = [a.tobytes() for a in inputs]
+    for method in ("none",) + METHOD_TAGS:
+        out = calibrate(method, ctx, raw, features, model, TrainConfig(epochs=2, seed=0))
+        assert out.shape == raw.shape, method
+    assert [a.tobytes() for a in inputs] == before

@@ -7,13 +7,14 @@ lockstep), the scalar Fisher-Jenks DP, nem's full (n, N, d) difference
 tensor, herding that orders every row of one class, SGD that takes the
 softmax and the loss with an exp each, the feature and score CSV
 loaders that call ``float`` on each ``csv.reader`` cell, the th and mb
-applies that preceded the shared per-class factor multiply, nem and
-bal reading the memory copied out as one table, a state's rows copied
-out as tables and joined before a train mask split them, and the table
-build that drew, scanned and relabeled one class at a time. The fast
-versions perform the same IEEE operations on the same operands, so
-results must match bit for bit (``tobytes()``), not merely to a
-tolerance; the loaders must also fail with the same message and line.
+applies that preceded the shared per-class factor multiply, softmax and
+Platt's apply with a new array per step, nem and bal reading the memory
+copied out as one table, a state's rows copied out as tables and joined
+before a train mask split them, and the table build that drew, scanned
+and relabeled one class at a time. The fast versions perform the same
+IEEE operations on the same operands, so results must match bit for bit
+(``tobytes()``), not merely to a tolerance; the loaders must also fail
+with the same message and line.
 One exception: nem takes its distances in Gram form, which keeps the
 direct form's bits only where it falls back to it, and is otherwise held
 to NEM_RTOL (relative) and the same argmax.
@@ -55,6 +56,7 @@ from imbcal.calibration import (
     CalibratorState,
     apply_mb,
     apply_nem,
+    apply_platt,
     apply_threshold,
     fit_mb,
     fit_platt,
@@ -234,6 +236,21 @@ def oracle_apply_mb(ratio, old_classes, scores):
     if old:
         out[:, old] = out[:, old] * ratio
     return out
+
+
+def oracle_softmax(score_matrix):
+    """softmax before it ran in place: a new array for the shift, the exp
+    and the division."""
+    s = np.asarray(score_matrix, dtype=np.float64)
+    shifted = s - s.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def oracle_apply_platt(a, c, scores):
+    """Platt's apply before it ran in place: a chain of temporaries."""
+    z = np.clip(np.asarray(scores, dtype=np.float64) * a + c, -500, 500)
+    return 1.0 / (1.0 + np.exp(z))
 
 
 def oracle_herd_order(class_features):
@@ -1165,6 +1182,59 @@ def test_mb_means_are_the_figdata_means_at_every_readme_state():
         assert state.params["ratio"] == flags["mu_new"] / flags["mu_old"]
         row = f"{report.state_index},{flags['mu_old']:.10g},{flags['mu_new']:.10g}"
         assert row == figdata[report.state_index - 2]
+
+
+# ---------------------------------------------------------------------------
+# softmax and Platt's apply: in place after one allocation
+
+finite_scores = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([-2.5, 0.0, -0.0, 1.0, 7.25]),  # ties
+    st.floats(-1e300, -1e3),  # very negative: exp underflows to 0
+    st.floats(allow_nan=False, allow_infinity=False),  # s - max may overflow to -inf
+)
+
+
+@st.composite
+def score_matrices(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    s = np.array(draw(st.lists(finite_scores, min_size=rows * cols, max_size=rows * cols)))
+    s = s.reshape(rows, cols)
+    if draw(st.booleans()):
+        # one dominant score per row: the others' exps may all round to 0
+        s[np.arange(rows), draw(st.lists(st.integers(0, cols - 1), min_size=rows,
+                                         max_size=rows))] += draw(st.sampled_from([40.0, 1e3]))
+    return s
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_matrices())
+@example(np.array([[0.0, 0.0], [-1e308, 1e308], [-800.0, -1e5]]))
+def test_softmax_in_place_is_bitwise_equal_to_the_three_line_form(s):
+    with np.errstate(over="ignore"):
+        assert _same(softmax(s), oracle_softmax(s))
+
+
+def test_in_place_forms_match_at_a_vector_loop_sized_shape():
+    # long rows, with remainders, take numpy's vectorised loops
+    gen = np.random.default_rng(0)
+    s = gen.normal(scale=30.0, size=(257, 131))
+    a, c = gen.normal(size=131), gen.normal(size=131)
+    assert _same(softmax(s), oracle_softmax(s))
+    state = CalibratorState("pl", {"A": a, "C": c})
+    assert _same(apply_platt(state, s), oracle_apply_platt(a, c, s))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_apply_platt_in_place_is_bitwise_equal_to_the_temporaries(data):
+    n_classes = data.draw(st.integers(1, 6))
+    params = st.lists(st.floats(-1e3, 1e3), min_size=n_classes, max_size=n_classes)
+    a, c = np.array(data.draw(params)), np.array(data.draw(params))
+    scores = _score_matrix(data, n_classes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = apply_platt(CalibratorState("pl", {"A": a, "C": c}), scores)
+        assert _same(out, oracle_apply_platt(a, c, scores))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from imbcal import harness
+from imbcal import calibration, harness
 from imbcal.cli import main
 from imbcal.dataset import DatasetTable
 from imbcal.errors import ParameterError
@@ -117,6 +118,28 @@ class TestRunExperiment:
         reports, _ = run_experiment(small_config(methods=methods))
         assert set(reports[0].per_method) == set(methods)
         assert states == [per_state] * 3
+
+    def test_each_method_fits_after_the_last_ones_scores_are_freed(self, monkeypatch):
+        # a state holds one calibrated score matrix at a time: when a method
+        # fits, the last method's scores and predictions are already freed
+        calibrate, predict = calibration.calibrate, calibration.predict
+        last = []  # weak references to the last method's scores and predictions
+
+        def checking_calibrate(method, ctx, raw, *args):
+            assert all(ref() is None for ref in last), method
+            out = calibrate(method, ctx, raw, *args)
+            last[:] = [] if out is raw else [weakref.ref(out)]
+            return out
+
+        def recording_predict(scores):
+            preds = predict(scores)
+            last.append(weakref.ref(preds))
+            return preds
+
+        monkeypatch.setattr(calibration, "calibrate", checking_calibrate)
+        monkeypatch.setattr(calibration, "predict", recording_predict)
+        reports, _ = run_experiment(small_config())
+        assert set(reports[-1].per_method) == set(ALL_METHODS)
 
 
 class TestWriteOutputs:
@@ -979,7 +1002,6 @@ class TestCli:
     ):
         # a class with a single train record gets no validation record, so
         # state 2's new classes, or every class, have none
-        from imbcal import calibration
         from imbcal.dataset import TEST, TRAIN, save_features
 
         labels = np.repeat(np.arange(4), np.array(train_rows) + 3)

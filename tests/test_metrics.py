@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from imbcal import backbone
 from imbcal.errors import ParameterError
 from imbcal.metrics import (
     ECE_BINS_DEFAULT,
@@ -123,6 +126,20 @@ class TestEce:
         labels = np.array([0, 0, 1, 0])
         expected = abs(np.mean([0.82, 0.84, 0.81, 0.83]) - 0.75)
         assert ece(p, np.zeros(4, dtype=int), labels) == pytest.approx(expected, abs=1e-12)
+
+    def test_the_ece_step_allocates_one_score_matrix(self):
+        # the harness's ECE step: softmax's one (n, N) matrix, and only
+        # (n,) temporaries inside ece
+        gen = np.random.default_rng(0)
+        s = gen.normal(size=(2000, 300))
+        preds, labels = s.argmax(axis=1), gen.integers(0, 300, size=2000)
+        tracemalloc.start()
+        try:
+            ece(backbone.softmax(s), preds, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * s.nbytes
 
 
 class TestGroupMeanScores:
