@@ -218,15 +218,20 @@ def apply_isotonic(state, scores):
 # Platt scaling
 
 
+def _platt_sigmoid(s, a, c):
+    """1 / (1 + exp(clip(s a + c))), in place after one allocation."""
+    out = np.multiply(s, a)
+    out += c
+    np.clip(out, -500, 500, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
 def _platt_nll(s, t, u, a, c):
     """Each row's negative log-likelihood at (a, c), and the unclipped
     probabilities: ``s`` and ``t`` hold one class per row, ``u`` is 1 - t."""
-    z = a[:, None] * s
-    z += c[:, None]
-    np.clip(z, -500, 500, out=z)
-    np.exp(z, out=z)
-    z += 1.0
-    p = np.divide(1.0, z, out=z)
+    p = _platt_sigmoid(s, a[:, None], c[:, None])
     q = np.clip(p, 1e-15, 1 - 1e-15)
     lq = np.log(q)
     lq *= t
@@ -347,14 +352,8 @@ def fit_platt(ctx):
 
 
 def apply_platt(state, scores):
-    """1 / (1 + exp(clip(s A + C))) per class, in place after one allocation."""
-    scores = np.asarray(scores, dtype=np.float64)
-    out = np.multiply(scores, state.params["A"])
-    out += state.params["C"]
-    np.clip(out, -500, 500, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    return np.divide(1.0, out, out=out)
+    """1 / (1 + exp(clip(s A + C))) per class, in one allocation."""
+    return _platt_sigmoid(scores, state.params["A"], state.params["C"])
 
 
 # ---------------------------------------------------------------------------

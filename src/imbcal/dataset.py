@@ -544,8 +544,9 @@ def _file_key(path):
     A pipe, a directory or a file that cannot be read has no key: it is
     parsed, and the parse reports any error.
     """
-    # imported on first use: loading OpenSSL adds a few MB to a process's
-    # peak RSS, which a run that reads no feature file need not pay
+    # imported on first use, so calibrate and breaks need not load OpenSSL
+    # (a few MB of peak RSS); run and gen load it anyway, since numpy's
+    # first random draw imports secrets and with it hashlib
     import hashlib
 
     stamp = _file_stamp(path)

@@ -239,42 +239,43 @@ def _run_state(cfg, k, table, model, buffer, new_ids):
 
     The state's rows are picked here, once, as row ids into ``table``: the
     new classes' train and val rows in table order, then the memory's rows
-    class by class in herded order. Its tables and score matrices live
-    only in this call.
+    class by class in herded order. They are checked, then trained on and
+    admitted; the state's tables and score matrices live only in this call.
     """
-    model = backbone.extend_model(model, len(new_ids), table.dim, derive_seed(cfg.model_seed, 1, k))
     new = (table.labels >= new_ids.start) & (table.labels < new_ids.stop)
-    rows = np.concatenate([
-        np.flatnonzero(new & (table.splits != dataset.TEST)), memory.memory_dataset(buffer)
-    ])
+    new_rows = np.flatnonzero(new & (table.splits != dataset.TEST))
+    rows = np.concatenate([new_rows, memory.memory_dataset(buffer)])
+    labels = table.labels[rows]
     train = table.splits[rows] == dataset.TRAIN
+    counts = np.bincount(labels[train], minlength=new_ids.stop)
+    if np.any(counts == 0):
+        raise ConfigurationError(f"state {k}: a class has no train records")
+    if train.all():
+        raise ConfigurationError(f"state {k}: no validation samples")
+    if not np.any(labels[~train] >= new_ids.start):
+        raise ConfigurationError(f"state {k}: no samples from new classes")
+
+    model = backbone.extend_model(model, len(new_ids), table.dim, derive_seed(cfg.model_seed, 1, k))
     train_part = table.subset(rows[train])
     train_config = replace(cfg.train, seed=derive_seed(cfg.model_seed, 1000, k))
     model = backbone.train(model, train_part, train_config)
-    buffer = memory.admit_and_rebalance(buffer, table, new_ids)
+    buffer = memory.admit_and_rebalance(buffer, table, new_rows)
 
-    counts = np.bincount(train_part.labels, minlength=new_ids.stop)
-    if np.any(counts == 0):
-        raise ConfigurationError(f"state {k}: a class has no train records")
     val_rows = rows[~train]
     ctx = calibration.CalibContext(
         train_scores=backbone.scores(model, train_part.features),
         train_labels=train_part.labels,
         val_scores=backbone.scores(model, table.features[val_rows]),
-        val_labels=table.labels[val_rows],
+        val_labels=labels[~train],
         class_counts=counts,
         old_classes=tuple(range(new_ids.start)),
         new_classes=tuple(new_ids),
         table=table,
         buffer=buffer,
     )
-    if not len(val_rows):
-        raise ConfigurationError(f"state {k}: no validation samples")
     mu_old, mu_new = metrics.group_mean_scores(
         ctx.val_scores, ctx.val_labels, (ctx.old_classes, ctx.new_classes)
     )
-    if mu_new is None:
-        raise ConfigurationError(f"state {k}: no samples from new classes")
 
     test_part = table.subset((table.splits == dataset.TEST) & (table.labels < new_ids.stop))
     raw = backbone.scores(model, test_part.features)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import TEST
 from .errors import ParameterError
 
 
@@ -121,17 +120,12 @@ def herd_order(features, class_rows, counts):
     # every lane padded to `width` rows, stacked (lanes, width, d); padding
     # repeats the lane's own first row, so it never overflows a finite lane
     width = int(lane_sizes.max())
-    rows = np.concatenate([class_rows[c] for c in lanes])
-    lane_first = np.cumsum(lane_sizes) - lane_sizes
-    slots = np.repeat(np.arange(len(lanes)) * width - lane_first, lane_sizes)
-    slots += np.arange(len(rows))
-    source = np.repeat(rows[lane_first], width)
-    source[slots] = rows
+    available = (np.arange(width) < lane_sizes[:, None]).reshape(-1)
+    source = np.repeat([class_rows[c][0] for c in lanes], width)
+    source[available] = np.concatenate([class_rows[c] for c in lanes])
     store = features[source]
-    norms = np.full(len(source), np.inf)  # inf marks padding and taken rows
-    norms[slots] = np.einsum("ij,ij->i", store, store)[slots]
-    available = np.zeros(len(source), dtype=bool)
-    available[slots] = True
+    norms = np.einsum("ij,ij->i", store, store)
+    norms[~available] = np.inf  # inf marks padding and taken rows
 
     mu = mu[lanes]
     running = np.zeros_like(mu)
@@ -182,22 +176,25 @@ def class_quotas(capacity, class_ids):
     return {c: base + (1 if i < extra else 0) for i, c in enumerate(ids)}
 
 
-def admit_and_rebalance(buffer, table, new_ids):
-    """Add the classes ``new_ids`` and shrink old quotas to fit the capacity.
+def admit_and_rebalance(buffer, table, rows):
+    """Add the classes of ``rows`` and shrink old quotas to fit the capacity.
 
-    Old classes keep a prefix of their stored rows; the new classes are
-    herded fresh, together, over their train and val rows of ``table``,
-    each only as far as its quota.
+    ``rows`` are the new classes' row ids into ``table``. Old classes keep
+    a prefix of their stored rows; the new classes are herded fresh,
+    together, each over its rows in the given order, as far as its quota.
     """
-    overlap = set(new_ids) & set(buffer.classes)
+    rows = np.asarray(rows, dtype=np.int64)
+    labels = table.labels[rows]
+    new, sizes = np.unique(labels, return_counts=True)
+    new = new.tolist()
+    overlap = set(new) & set(buffer.classes)
     if overlap:
         raise ParameterError(f"classes already stored: {sorted(overlap)}")
-    quotas = class_quotas(buffer.capacity, set(buffer.classes) | set(new_ids))
-    herdable = table.splits != TEST
-    new = [c for c in quotas if c not in buffer.classes]
-    rows = [np.flatnonzero((table.labels == c) & herdable) for c in new]
-    herded = herd_order(table.features, rows, [quotas[c] for c in new])
-    taken = [min(quotas[c], len(r)) for c, r in zip(new, rows)]
+    quotas = class_quotas(buffer.capacity, set(buffer.classes) | set(new))
+    # split at every class's end, then drop the empty tail: no rows, no classes
+    class_rows = np.split(rows[np.argsort(labels, kind="stable")], np.cumsum(sizes))[:-1]
+    herded = herd_order(table.features, class_rows, [quotas[c] for c in new])
+    taken = [min(quotas[c], n) for c, n in zip(new, sizes)]
     herded = iter(np.split(herded, np.cumsum(taken, dtype=np.int64)[:-1]))
     classes = {
         c: buffer.classes[c][:q] if c in buffer.classes else next(herded)

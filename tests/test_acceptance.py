@@ -206,9 +206,9 @@ def test_8_memory_respects_capacity_prefix_and_first_pick():
     labels = np.concatenate([np.full(20, c) for c in classes])
     table = DatasetTable(feats, labels, ["train"] * (20 * len(classes)))
 
-    buf = admit_and_rebalance(MemoryBuffer.empty(B), table, [0, 1])
+    buf = admit_and_rebalance(MemoryBuffer.empty(B), table, np.flatnonzero(labels < 2))
     stored = {c: table.features[buf.classes[c]] for c in buf.classes}
-    buf = admit_and_rebalance(buf, table, [2, 3])
+    buf = admit_and_rebalance(buf, table, np.flatnonzero(labels >= 2))
     assert sum(len(s) for s in buf.classes.values()) <= B
     for c in (0, 1):
         kept = table.features[buf.classes[c]]

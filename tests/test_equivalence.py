@@ -853,8 +853,9 @@ def _memory_case(gen, rows_by_class, capacity, first):
     features = gen.normal(size=(len(labels), 3)) * 10.0 ** gen.uniform(-3, 3)
     table = DatasetTable(features, labels[order], splits)
     buffer = memory.MemoryBuffer.empty(capacity)
-    for ids in (range(first), range(first, len(rows_by_class))):
-        buffer = memory.admit_and_rebalance(buffer, table, ids)
+    herdable = table.splits != TEST
+    for new in (table.labels < first, table.labels >= first):
+        buffer = memory.admit_and_rebalance(buffer, table, np.flatnonzero(new & herdable))
     return table, buffer
 
 

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imbcal import calibration, harness
+from imbcal import backbone, calibration, harness, memory
 from imbcal.cli import main
-from imbcal.dataset import DatasetTable
+from imbcal.dataset import TEST, DatasetTable
 from imbcal.errors import ParameterError
 from imbcal.harness import (
     ALL_METHODS,
@@ -140,6 +140,22 @@ class TestRunExperiment:
         monkeypatch.setattr(calibration, "predict", recording_predict)
         reports, _ = run_experiment(small_config())
         assert set(reports[-1].per_method) == set(ALL_METHODS)
+
+    def test_no_stored_row_is_a_test_row_at_any_readme_state(self, monkeypatch):
+        from test_golden import README_CONFIG
+
+        admit, stored = memory.admit_and_rebalance, []
+
+        def recording_admit(buffer, table, rows):
+            buffer = admit(buffer, table, rows)
+            stored.append(table.splits[memory.memory_dataset(buffer)])
+            return buffer
+
+        monkeypatch.setattr(memory, "admit_and_rebalance", recording_admit)
+        cfg = config_from_dict(README_CONFIG)
+        run_experiment(cfg)
+        assert [len(splits) for splits in stored] == [cfg.memory] * cfg.num_states
+        assert not any(TEST in splits for splits in stored)
 
 
 class TestWriteOutputs:
@@ -868,6 +884,18 @@ class TestCli:
 
         monkeypatch.setattr("imbcal.backbone.train", no_training)
 
+    @staticmethod
+    def _record_training(monkeypatch):
+        """The class count of each model that backbone.train is handed."""
+        train, trained = backbone.train, []
+
+        def recording_train(model, table, config):
+            trained.append(model.num_classes)
+            return train(model, table, config)
+
+        monkeypatch.setattr(backbone, "train", recording_train)
+        return trained
+
     @pytest.mark.parametrize("classes, states, memory, message", [
         (4, 2, 0, "state 2: memory 0 is smaller than the 2 classes seen before it"),
         (4, 2, 1, "state 2: memory 1 is smaller than the 2 classes seen before it"),
@@ -907,16 +935,23 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
-    def test_class_whose_only_exemplar_is_a_val_row_exits_2(self, tmp_path, capsys):
+    def test_class_whose_only_exemplar_is_a_val_row_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
         # memory passes the load-time check, but at data seed 6 the one
-        # exemplar herded for an old class is a val row
+        # exemplar herded for an old class is a val row; state 2 is refused
+        # before it trains its 4-class model
+        trained = self._record_training(monkeypatch)
         cfg = json.loads(self.run_config(tmp_path).read_text())
         cfg.update(memory=2, methods=["none"])
         cfg["seeds"]["data"] = 6
         path = tmp_path / "val.json"
         path.write_text(json.dumps(cfg))
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "state 2: a class has no train records" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "error: state 2: a class has no train records\n" in capsys.readouterr().err
+        assert trained == [2]
+        assert not out.exists()
 
     def test_more_states_than_classes_rejected_before_training(
         self, tmp_path, capsys, monkeypatch
@@ -1023,10 +1058,13 @@ class TestCli:
             return calibrate(method, ctx, *args)
 
         monkeypatch.setattr(calibration, "calibrate", recording_calibrate)
+        trained = self._record_training(monkeypatch)
         with pytest.warns(UserWarning, match="single train record"):
             assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"error: state {state}: {message}\n" in capsys.readouterr().err
         assert calibrated == [1] * len(methods) * (state - 1)
+        # only state 1's 2-class models train: the refused state never does
+        assert sorted(set(trained)) == [2] * (state - 1)
         assert not (tmp_path / "out").exists()
 
     def test_calibrator_fit_error_names_state_and_method(self, tmp_path, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imbcal.dataset import DatasetTable, generate_synthetic
+from imbcal.dataset import TEST, DatasetTable, generate_synthetic
 from imbcal.errors import ParameterError
 from imbcal.memory import (
     MemoryBuffer,
@@ -21,6 +21,12 @@ def table_for(class_sizes, dim=3, seed=0):
         labels.append(np.full(n, c))
     n_total = sum(class_sizes.values())
     return DatasetTable(np.concatenate(feats), np.concatenate(labels), ["train"] * n_total)
+
+
+def herdable(table, ids):
+    """The train and val row ids of the classes ``ids``, in table order: the
+    rows a state hands to admission."""
+    return np.flatnonzero(np.isin(table.labels, ids) & (table.splits != TEST))
 
 
 class TestHerdOrder:
@@ -88,28 +94,28 @@ class TestQuotas:
 
 class TestAdmitAndRebalance:
     def test_quotas_and_capacity(self):
-        buf = MemoryBuffer.empty(10)
-        buf = admit_and_rebalance(buf, table_for({0: 8, 1: 8, 2: 8}), [0, 1, 2])
+        table = table_for({0: 8, 1: 8, 2: 8})
+        buf = admit_and_rebalance(MemoryBuffer.empty(10), table, herdable(table, [0, 1, 2]))
         assert {c: len(s) for c, s in buf.classes.items()} == {0: 4, 1: 3, 2: 3}
         assert sum(len(s) for s in buf.classes.values()) <= 10
 
     def test_short_class_stores_what_it_has(self):
-        buf = MemoryBuffer.empty(12)
-        buf = admit_and_rebalance(buf, table_for({0: 2, 1: 9, 2: 9}), [0, 1, 2])
+        table = table_for({0: 2, 1: 9, 2: 9})
+        buf = admit_and_rebalance(MemoryBuffer.empty(12), table, herdable(table, [0, 1, 2]))
         assert len(buf.classes[0]) == 2
 
     def test_old_classes_truncated_to_prefix(self):
         table = table_for({0: 10, 1: 10, 2: 10, 3: 10})
-        buf1 = admit_and_rebalance(MemoryBuffer.empty(8), table, [0, 1])
-        buf2 = admit_and_rebalance(buf1, table, [2, 3])
+        buf1 = admit_and_rebalance(MemoryBuffer.empty(8), table, herdable(table, [0, 1]))
+        buf2 = admit_and_rebalance(buf1, table, herdable(table, [2, 3]))
         for c in (0, 1):
             kept = buf2.classes[c]
             assert np.array_equal(kept, buf1.classes[c][: len(kept)])
         assert sum(len(s) for s in buf2.classes.values()) <= 8
 
     def test_readmission_idempotent_quota(self):
-        buf = MemoryBuffer.empty(9)
-        buf1 = admit_and_rebalance(buf, table_for({0: 10, 1: 10, 2: 10}), [0, 1, 2])
+        table = table_for({0: 10, 1: 10, 2: 10})
+        buf1 = admit_and_rebalance(MemoryBuffer.empty(9), table, herdable(table, [0, 1, 2]))
         # truncating again with the same class set is a fixed point
         sizes = {c: len(s) for c, s in buf1.classes.items()}
         quotas = class_quotas(9, [0, 1, 2])
@@ -117,23 +123,31 @@ class TestAdmitAndRebalance:
 
     def test_overlapping_classes_rejected(self):
         table = table_for({0: 4})
-        buf = admit_and_rebalance(MemoryBuffer.empty(6), table, [0])
+        buf = admit_and_rebalance(MemoryBuffer.empty(6), table, herdable(table, [0]))
         with pytest.raises(ParameterError):
-            admit_and_rebalance(buf, table, [0])
+            admit_and_rebalance(buf, table, herdable(table, [0]))
 
     def test_capacity_smaller_than_classes(self):
-        buf = MemoryBuffer.empty(2)
-        buf = admit_and_rebalance(buf, table_for({0: 3, 1: 3, 2: 3}), [0, 1, 2])
+        table = table_for({0: 3, 1: 3, 2: 3})
+        buf = admit_and_rebalance(MemoryBuffer.empty(2), table, herdable(table, [0, 1, 2]))
         assert {c: len(s) for c, s in buf.classes.items()} == {0: 1, 1: 1, 2: 0}
 
-    def test_test_records_ignored(self):
-        t = generate_synthetic(2, 3, 5, 5.0, 1.0, seed=0, test_per_class=4)
-        buf = admit_and_rebalance(MemoryBuffer.empty(20), t, [0, 1])
-        assert sum(len(s) for s in buf.classes.values()) == 10
+    def test_herds_only_the_rows_it_is_handed(self):
+        # every third row of a shuffled table, test rows too: admission reads
+        # no split and herds each class over its rows in the order given
+        t = generate_synthetic(3, 3, 8, 5.0, 1.0, seed=1, test_per_class=4)
+        t = t.subset(np.random.default_rng(1).permutation(len(t)))
+        rows = np.arange(0, len(t), 3)
+        buf = admit_and_rebalance(MemoryBuffer.empty(30), t, rows)
+        assert sorted(buf.classes) == [0, 1, 2]
+        for c, stored in buf.classes.items():
+            own = rows[t.labels[rows] == c]
+            assert np.array_equal(stored, herd_order(t.features, [own], [len(own)]))
+        assert TEST in t.splits[memory_dataset(buf)]
 
     def test_rows_are_herd_picks_of_the_class(self):
         t = generate_synthetic(3, 4, 9, 5.0, 1.0, seed=2, test_per_class=5)
-        buf = admit_and_rebalance(MemoryBuffer.empty(12), t, [0, 1, 2])
+        buf = admit_and_rebalance(MemoryBuffer.empty(12), t, herdable(t, [0, 1, 2]))
         for c, rows in buf.classes.items():
             assert np.all(t.labels[rows] == c) and np.all(t.splits[rows] != "test")
             own = t.features[(t.splits != "test") & (t.labels == c)]
@@ -152,12 +166,12 @@ class TestMemoryDataset:
 
     def test_census_matches_stored_counts(self):
         table = table_for({0: 8, 1: 8, 2: 8})
-        buf = admit_and_rebalance(MemoryBuffer.empty(10), table, [0, 1, 2])
+        buf = admit_and_rebalance(MemoryBuffer.empty(10), table, herdable(table, [0, 1, 2]))
         assert table.subset(memory_dataset(buf)).census == {0: 4, 1: 3, 2: 3}
 
     def test_val_flags_preserved(self):
         feats = np.arange(12, dtype=float).reshape(6, 2)
         t = DatasetTable(feats, [0] * 6, ["train", "val", "train", "val", "train", "train"])
-        buf = admit_and_rebalance(MemoryBuffer.empty(6), t, [0])
+        buf = admit_and_rebalance(MemoryBuffer.empty(6), t, herdable(t, [0]))
         out = t.splits[memory_dataset(buf)]
         assert sorted(out.tolist()) == ["train"] * 4 + ["val"] * 2
