@@ -86,13 +86,14 @@ def scores(model, features):
     return features @ model.weights.T + model.biases
 
 
-def softmax(score_matrix):
+def softmax(score_matrix, out=None):
     """Row-wise softmax with max-subtraction for numerical stability.
 
-    One (n, N) allocation: the shift, exp and division run in place.
+    One (n, N) allocation: the shift, exp and division run in place. With
+    ``out`` there is none, and ``out=score_matrix`` overwrites the scores.
     """
     s = np.asarray(score_matrix, dtype=np.float64)
-    out = np.subtract(s, s.max(axis=-1, keepdims=True))
+    out = np.subtract(s, s.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out

@@ -35,6 +35,8 @@ from .metrics import group_mean_scores, top1
 METHOD_TAGS = ("iso", "pl", "th", "nem", "bal", "mb", "fj")
 # calibrators that read the test features rather than the test scores
 FEATURE_METHODS = ("nem", "bal")
+# calibrators that fit on the training records' scores
+TRAIN_SCORE_METHODS = ("iso", "pl")
 
 NEM_EPSILON = 1e-12
 NEM_CHUNK_ROWS = 64
@@ -55,7 +57,7 @@ class CalibContext:
     current training set.
     """
 
-    train_scores: np.ndarray  # (n, N) raw scores of the training records
+    train_scores: np.ndarray | None  # (n, N) raw scores of the training records
     train_labels: np.ndarray
     val_scores: np.ndarray  # (m, N) raw scores of the validation records
     val_labels: np.ndarray
@@ -190,9 +192,16 @@ def apply_step_map(boundaries, levels, scores):
     return levels[idx]
 
 
+def _train_scores(ctx):
+    """The training records' scores; a context built without them is refused."""
+    if ctx.train_scores is None:
+        raise ConfigurationError("iso and pl need the training scores")
+    return ctx.train_scores
+
+
 def fit_isotonic(ctx):
     """Per-class one-vs-all isotonic maps fitted on the training scores."""
-    n, num_classes = ctx.train_scores.shape
+    n, num_classes = _train_scores(ctx).shape
     boundaries, levels = {}, {}
     for c in range(num_classes):
         positive = ctx.train_labels == c
@@ -330,7 +339,7 @@ def fit_platt(ctx):
     each block's arrays stay in cache, with the same bits as one fit per
     class.
     """
-    n, num_classes = ctx.train_scores.shape
+    n, num_classes = _train_scores(ctx).shape
     pos = ctx.train_labels == np.arange(num_classes)[:, None]
     n_pos = pos.sum(axis=1)
     one_sided = np.flatnonzero((n_pos == 0) | (n_pos == n))

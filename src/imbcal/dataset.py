@@ -130,20 +130,21 @@ def generate_synthetic(
 
     Produces ``count_per_class`` train records per class and a balanced
     test set of ``test_per_class`` records per class (defaults to
-    ``count_per_class``). Deterministic given ``seed``.
+    ``count_per_class``). Deterministic given ``seed``. A refusal names the
+    ``synthetic`` config key (and ``gen`` flag) that sets the value.
     """
     if num_classes < 2:
-        raise ParameterError("num_classes must be >= 2")
+        raise ParameterError("classes must be >= 2")
     if dim < 2:
         raise ParameterError("dim must be >= 2")
     if count_per_class < 2:
-        raise ParameterError("count_per_class must be >= 2")
+        raise ParameterError("per_class must be >= 2")
     if test_per_class is None:
         test_per_class = count_per_class
     if test_per_class < 1:
         raise ParameterError("test_per_class must be >= 1")
     if noise_scale < 0:
-        raise ParameterError("noise_scale must be >= 0")
+        raise ParameterError("noise must be >= 0")
     per_class = count_per_class + test_per_class
     if num_classes * per_class * dim * 8 > np.iinfo(np.intp).max:
         raise ParameterError(

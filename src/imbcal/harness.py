@@ -240,7 +240,8 @@ def _run_state(cfg, k, table, model, buffer, new_ids):
     The state's rows are picked here, once, as row ids into ``table``: the
     new classes' train and val rows in table order, then the memory's rows
     class by class in herded order. They are checked, then trained on and
-    admitted; the state's tables and score matrices live only in this call.
+    admitted; the state's tables and score matrices live only in this call,
+    and each is dropped after its last reader.
     """
     new = (table.labels >= new_ids.start) & (table.labels < new_ids.stop)
     new_rows = np.flatnonzero(new & (table.splits != dataset.TEST))
@@ -259,12 +260,19 @@ def _run_state(cfg, k, table, model, buffer, new_ids):
     train_part = table.subset(rows[train])
     train_config = replace(cfg.train, seed=derive_seed(cfg.model_seed, 1000, k))
     model = backbone.train(model, train_part, train_config)
+    # the training scores are made only for the methods that read them, and
+    # live until the last of those has run
+    last_reader = max((i for i, m in enumerate(cfg.methods)
+                       if m in calibration.TRAIN_SCORE_METHODS), default=None)
+    train_scores = None if last_reader is None else backbone.scores(model, train_part.features)
+    train_labels = train_part.labels
+    del train_part  # herding and the calibrators run without the training copy
     buffer = memory.admit_and_rebalance(buffer, table, new_rows)
 
     val_rows = rows[~train]
     ctx = calibration.CalibContext(
-        train_scores=backbone.scores(model, train_part.features),
-        train_labels=train_part.labels,
+        train_scores=train_scores,
+        train_labels=train_labels,
         val_scores=backbone.scores(model, table.features[val_rows]),
         val_labels=labels[~train],
         class_counts=counts,
@@ -273,6 +281,7 @@ def _run_state(cfg, k, table, model, buffer, new_ids):
         table=table,
         buffer=buffer,
     )
+    del train_scores  # ctx holds them alone
     mu_old, mu_new = metrics.group_mean_scores(
         ctx.val_scores, ctx.val_labels, (ctx.old_classes, ctx.new_classes)
     )
@@ -281,20 +290,26 @@ def _run_state(cfg, k, table, model, buffer, new_ids):
     raw = backbone.scores(model, test_part.features)
     bal_config = replace(cfg.train, seed=derive_seed(cfg.model_seed, 2000, k))
     per_method = {}
-    for method in cfg.methods:
+    for i, method in enumerate(cfg.methods):
         try:
             calibrated = calibration.calibrate(
                 method, ctx, raw, test_part.features, model, bal_config
             )
         except (ParameterError, ConfigurationError) as exc:
             raise ConfigurationError(f"state {k}, method {method}: {exc}") from exc
+        if i == last_reader:
+            ctx = replace(ctx, train_scores=None)
         preds = calibration.predict(calibrated)
+        # the ECE softmax overwrites a method's own scores, but never raw,
+        # which the later methods read
+        probs_out = None if calibrated is raw else calibrated
         per_method[method] = metrics.MethodResult(
             top1=metrics.top1(preds, test_part.labels),
-            ece=metrics.ece(backbone.softmax(calibrated), preds, test_part.labels, cfg.ece_bins),
+            ece=metrics.ece(backbone.softmax(calibrated, out=probs_out), preds,
+                            test_part.labels, cfg.ece_bins),
         )
         # the next method fits without this one's (test rows, classes) scores
-        del calibrated, preds
+        del calibrated, preds, probs_out
     return model, buffer, metrics.StateReport(k, mu_old, mu_new, per_method)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -260,6 +261,13 @@ class TestPlatt:
         # no worse than scipy's minimum; its parameters are the less precise
         assert self._smoothed_nll([a, c], s, t) <= best.fun * (1 + 1e-12)
         assert np.allclose([a, c], best.x, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("fit", [fit_isotonic, fit_platt])
+def test_iso_and_pl_refuse_a_context_without_training_scores(fit):
+    ctx = dataclasses.replace(make_ctx(np.zeros((2, 2)), [0, 1]), train_scores=None)
+    with pytest.raises(ConfigurationError, match="iso and pl need the training scores"):
+        fit(ctx)
 
 
 class TestThreshold:

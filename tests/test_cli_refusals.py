@@ -130,7 +130,9 @@ def test_run_refuses_a_bad_feature_file(tmp_path, capsys, features, edit, messag
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("noise", -1, "noise_scale must be >= 0"),
+    ("classes", 1, "classes must be >= 2"),
+    ("per_class", 1, "per_class must be >= 2"),
+    ("noise", -1, "noise must be >= 0"),
     ("test_per_class", 0, "test_per_class must be >= 1"),
 ])
 def test_run_refuses_a_synthetic_value_out_of_range(tmp_path, capsys, key, value, message):

@@ -936,18 +936,23 @@ def oracle_state_tables(table, buffer, new_ids):
 
 def test_each_readme_state_reads_the_rows_the_copied_tables_held():
     """At every state, the table train fits, the CalibContext arrays and the
-    test rows equal, bit for bit, those of the copy-and-join construction."""
+    test rows equal, bit for bit, those of the copy-and-join construction.
+
+    The training scores are read from the contexts handed to iso and pl:
+    once the last of them has run, later methods get none."""
     states, calibrating = [], []
     backbone_train, calibrate = backbone.train, calibration.calibrate
 
     def recording_train(model, table, config):
         trained = backbone_train(model, table, config)
         if not calibrating:  # bal retrains inside calibrate
-            states.append({"table": table, "model": trained})
+            states.append({"table": table, "model": trained, "readers": {}})
         return trained
 
     def recording_calibrate(method, ctx, raw, features, model, config):
         states[-1].update(ctx=ctx, raw=raw, features=features, calibrated_model=model)
+        if method in calibration.TRAIN_SCORE_METHODS:
+            states[-1]["readers"][method] = ctx
         calibrating.append(method)
         try:
             return calibrate(method, ctx, raw, features, model, config)
@@ -965,7 +970,9 @@ def test_each_readme_state_reads_the_rows_the_copied_tables_held():
         assert state["calibrated_model"] is model
         old_train, old_val, old_test = oracle_state_tables(ctx.table, buffer, ctx.new_classes)
         assert _same_table(state["table"], old_train)
-        assert _same(ctx.train_scores, backbone.scores(model, old_train.features))
+        assert sorted(state["readers"]) == ["iso", "pl"]
+        for reader in state["readers"].values():
+            assert _same(reader.train_scores, backbone.scores(model, old_train.features))
         assert _same(ctx.train_labels, old_train.labels)
         assert _same(ctx.val_scores, backbone.scores(model, old_val.features))
         assert _same(ctx.val_labels, old_val.labels)
@@ -1214,6 +1221,15 @@ def score_matrices(draw):
 def test_softmax_in_place_is_bitwise_equal_to_the_three_line_form(s):
     with np.errstate(over="ignore"):
         assert _same(softmax(s), oracle_softmax(s))
+        _assert_softmax_over_its_input_is_bitwise_equal(s)
+
+
+def _assert_softmax_over_its_input_is_bitwise_equal(s):
+    """``softmax(x, out=x)``, which the ECE step runs over a method's own
+    scores, rests on numpy's aliasing of ``out`` with an input."""
+    x = s.copy()
+    assert softmax(x, out=x) is x
+    assert _same(x, softmax(s))
 
 
 def test_in_place_forms_match_at_a_vector_loop_sized_shape():
@@ -1222,6 +1238,7 @@ def test_in_place_forms_match_at_a_vector_loop_sized_shape():
     s = gen.normal(scale=30.0, size=(257, 131))
     a, c = gen.normal(size=131), gen.normal(size=131)
     assert _same(softmax(s), oracle_softmax(s))
+    _assert_softmax_over_its_input_is_bitwise_equal(s)
     state = CalibratorState("pl", {"A": a, "C": c})
     assert _same(apply_platt(state, s), oracle_apply_platt(a, c, s))
 

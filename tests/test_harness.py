@@ -141,6 +141,78 @@ class TestRunExperiment:
         reports, _ = run_experiment(small_config())
         assert set(reports[-1].per_method) == set(ALL_METHODS)
 
+    def test_the_training_copy_is_freed_before_admission(self, monkeypatch):
+        # herding runs without the (train rows, d) features the state trained on
+        train, admit = backbone.train, memory.admit_and_rebalance
+        trained, freed = [], []
+
+        def recording_train(model, table, config):
+            trained.append(weakref.ref(table.features))
+            return train(model, table, config)
+
+        def checking_admit(*args):
+            freed.append(trained[-1]() is None)
+            return admit(*args)
+
+        monkeypatch.setattr(backbone, "train", recording_train)
+        monkeypatch.setattr(memory, "admit_and_rebalance", checking_admit)
+        run_experiment(small_config())
+        assert freed == [True] * 3
+
+    @pytest.mark.parametrize("methods, per_state", [
+        (("none", "th", "mb"), 2),  # the val rows and the test rows
+        (("none", "iso", "th"), 3),  # and the training rows
+        (("pl", "mb"), 3),
+        (("iso", "th", "pl"), 3),  # once, for both
+    ])
+    def test_training_rows_are_scored_only_for_iso_and_pl(self, monkeypatch, methods, per_state):
+        scores, run_state = backbone.scores, harness._run_state
+        calls, states = [], []
+
+        def counted_scores(*args):
+            calls.append(None)
+            return scores(*args)
+
+        def counted_state(*args):
+            start = len(calls)
+            out = run_state(*args)
+            states.append(len(calls) - start)
+            return out
+
+        monkeypatch.setattr(backbone, "scores", counted_scores)
+        monkeypatch.setattr(harness, "_run_state", counted_state)
+        run_experiment(small_config(methods=methods))
+        assert states == [per_state] * 3
+
+    def test_methods_after_the_last_of_iso_and_pl_get_no_training_scores(self, monkeypatch):
+        calibrate, seen = calibration.calibrate, []
+
+        def recording_calibrate(method, ctx, *args):
+            seen.append((method, ctx.train_scores is None))
+            return calibrate(method, ctx, *args)
+
+        monkeypatch.setattr(calibration, "calibrate", recording_calibrate)
+        methods = ("none", "iso", "th", "pl", "mb", "fj")
+        run_experiment(small_config(methods=methods))
+        assert seen == [(m, m in ("mb", "fj")) for m in methods] * 3
+
+    def test_no_method_writes_into_raw(self, monkeypatch):
+        # none returns raw itself, and its ECE softmax must not run over it
+        calibrate, seen = calibration.calibrate, []
+
+        def recording_calibrate(method, ctx, raw, *args):
+            seen.append((ctx.new_classes, raw.tobytes()))
+            return calibrate(method, ctx, raw, *args)
+
+        monkeypatch.setattr(calibration, "calibrate", recording_calibrate)
+        assert ALL_METHODS[0] == "none"
+        run_experiment(small_config())
+        by_state = {}
+        for new_classes, raw in seen:
+            by_state.setdefault(new_classes, set()).add(raw)
+        assert len(seen) == 3 * len(ALL_METHODS)
+        assert [len(raws) for raws in by_state.values()] == [1] * 3
+
     def test_no_stored_row_is_a_test_row_at_any_readme_state(self, monkeypatch):
         from test_golden import README_CONFIG
 
@@ -1154,7 +1226,13 @@ class TestCli:
         )
         assert (tmp_path / "file").read_text() == "keep me\n"
 
-    def test_output_write_error_exits_3_with_path(self, tmp_path, capsys):
+    def test_output_below_a_regular_file_exits_3_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_train(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(backbone, "train", no_train)
         cfg = self.run_config(tmp_path)
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"  # a path below a regular file
