@@ -83,7 +83,9 @@ def scores(model, features):
         raise ParameterError(
             f"features of shape {features.shape} do not match model dim {model.dim}"
         )
-    return features @ model.weights.T + model.biases
+    out = features @ model.weights.T
+    out += model.biases  # in place: one (n, N) allocation
+    return out
 
 
 def softmax(score_matrix, out=None):

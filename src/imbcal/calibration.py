@@ -11,11 +11,16 @@ Method tags and what they consume:
   fj   per-cluster rescaling, classes clustered by image count with
        Fisher-Jenks natural breaks
 
-``calibrate`` is the one place that picks a calibrator by tag. Every
-``apply_*`` is a pure function of the fitted state and its input;
-the predicted class is always the argmax of the calibrated scores (for
-nem the reported score is the inverse distance, so argmax coincides with
-the nearest mean).
+``fit`` and ``apply`` are the one place that picks a calibrator by tag:
+``fit`` returns the method's ``CalibratorState``, and ``apply`` turns the
+test rows' raw scores (or, for the FEATURE_METHODS, their features) into
+calibrated scores. Each ``apply_*`` is a pure function of the fitted state
+and its input, unless given ``out=``, as ``softmax`` is; ``apply`` passes
+``out=scores``, so a score-reading method overwrites the matrix it is
+handed and a caller makes that matrix only once the fit is done. The
+predicted class is always the argmax of the calibrated scores (for nem the
+reported score is the inverse distance, so argmax coincides with the
+nearest mean).
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ NEM_RTOL = 1e-12
 PLATT_MAX_ITER = 100
 PLATT_GRAD_TOL = 1e-9
 # scores per block of classes that fit_platt fits in lockstep
-PLATT_BLOCK_ELEMENTS = 2**15
+PLATT_BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -215,9 +220,13 @@ def fit_isotonic(ctx):
     return CalibratorState("iso", {"boundaries": boundaries, "levels": levels})
 
 
-def apply_isotonic(state, scores):
+def apply_isotonic(state, scores, out=None):
     scores = np.asarray(scores, dtype=np.float64)
-    out = scores.copy()
+    if out is None:
+        out = scores.copy()
+    elif out is not scores:
+        out[...] = scores
+    # each column is read before it is written, so out may be scores
     for c, b in state.params["boundaries"].items():
         out[:, c] = apply_step_map(b, state.params["levels"][c], scores[:, c])
     return out
@@ -227,9 +236,10 @@ def apply_isotonic(state, scores):
 # Platt scaling
 
 
-def _platt_sigmoid(s, a, c):
-    """1 / (1 + exp(clip(s a + c))), in place after one allocation."""
-    out = np.multiply(s, a)
+def _platt_sigmoid(s, a, c, out=None):
+    """1 / (1 + exp(clip(s a + c))), in place after one allocation, or
+    none with ``out``."""
+    out = np.multiply(s, a, out=out)
     out += c
     np.clip(out, -500, 500, out=out)
     np.exp(out, out=out)
@@ -340,8 +350,7 @@ def fit_platt(ctx):
     class.
     """
     n, num_classes = _train_scores(ctx).shape
-    pos = ctx.train_labels == np.arange(num_classes)[:, None]
-    n_pos = pos.sum(axis=1)
+    n_pos = np.bincount(ctx.train_labels, minlength=num_classes)[:num_classes]
     one_sided = np.flatnonzero((n_pos == 0) | (n_pos == n))
     if len(one_sided):
         raise ParameterError(
@@ -354,15 +363,17 @@ def fit_platt(ctx):
     for lo in range(0, num_classes, block):
         rows = slice(lo, lo + block)
         scores = np.ascontiguousarray(ctx.train_scores[:, rows].T)
-        a[rows], c[rows], converged[rows] = _platt_block(scores, pos[rows])
+        # the block's positives alone: no (classes, n) mask is ever held
+        pos = ctx.train_labels == np.arange(num_classes)[rows, None]
+        a[rows], c[rows], converged[rows] = _platt_block(scores, pos)
     state = CalibratorState("pl", {"A": a, "C": c})
     state.flags["converged"] = converged
     return state
 
 
-def apply_platt(state, scores):
-    """1 / (1 + exp(clip(s A + C))) per class, in one allocation."""
-    return _platt_sigmoid(scores, state.params["A"], state.params["C"])
+def apply_platt(state, scores, out=None):
+    """1 / (1 + exp(clip(s A + C))) per class, in one allocation or none."""
+    return _platt_sigmoid(scores, state.params["A"], state.params["C"], out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +389,13 @@ def fit_threshold(ctx):
     return CalibratorState("th", {"factors": counts.sum() / counts})
 
 
-def apply_factors(state, x):
+def apply_factors(state, x, out=None):
     """Multiply each class's column by its fitted factor."""
-    return np.asarray(x, dtype=np.float64) * state.params["factors"]
+    return np.multiply(np.asarray(x, dtype=np.float64), state.params["factors"], out=out)
 
 
 # One multiply under three names: bench/spans.py wraps each name, and
-# calibrate calls each method's apply through its own name, so a traced
+# apply calls each method's apply through its own name, so a traced
 # run still times th, mb and fj apply separately.
 apply_threshold = apply_mb = apply_fj = apply_factors
 
@@ -536,29 +547,56 @@ def fit_fj(ctx):
 # ---------------------------------------------------------------------------
 
 
-def calibrate(method, ctx, raw, features=None, model=None, train_config=None):
-    """Fit ``method`` on ctx and return its calibrated scores for the test rows.
+def fit(method, ctx, model=None, train_config=None):
+    """Fit ``method`` on ctx: its CalibratorState.
 
-    ``raw`` holds the test rows' raw scores and ``none`` returns it as is;
-    the FEATURE_METHODS read the test ``features`` instead, and bal
-    retrains a copy of ``model`` under ``train_config``.
+    ``none`` fits nothing, and bal retrains a copy of ``model`` under
+    ``train_config``. Each fit_* is looked up when called, so a wrapper
+    set on the module (as bench/spans.py sets) is the one that runs.
     """
     if method == "none":
-        return raw
+        return CalibratorState("none", {})
     if method == "iso":
-        return apply_isotonic(fit_isotonic(ctx), raw)
+        return fit_isotonic(ctx)
     if method == "pl":
-        return apply_platt(fit_platt(ctx), raw)
+        return fit_platt(ctx)
     if method == "th":
-        return apply_threshold(fit_threshold(ctx), backbone.softmax(raw))
+        return fit_threshold(ctx)
     if method == "nem":
-        return apply_nem(fit_nem(ctx), features)
+        return fit_nem(ctx)
     if method == "bal":
-        return apply_balanced(fit_balanced(ctx, model, train_config), features)
+        return fit_balanced(ctx, model, train_config)
     if method == "mb":
-        return apply_mb(fit_mb(ctx), raw)
+        return fit_mb(ctx)
     if method == "fj":
-        return apply_fj(fit_fj(ctx), raw)
+        return fit_fj(ctx)
+    raise ParameterError(f"unknown calibrator tag: {method!r}")
+
+
+def apply(state, scores, features=None):
+    """The test rows' calibrated scores under a fitted ``state``.
+
+    A score-reading method overwrites ``scores``, the test rows' raw
+    scores, and returns it (``none`` returns it as is); the FEATURE_METHODS
+    read the test ``features`` and return a new matrix.
+    """
+    method = state.method
+    if method == "none":
+        return scores
+    if method == "iso":
+        return apply_isotonic(state, scores, out=scores)
+    if method == "pl":
+        return apply_platt(state, scores, out=scores)
+    if method == "th":
+        return apply_threshold(state, backbone.softmax(scores, out=scores), out=scores)
+    if method == "nem":
+        return apply_nem(state, features)
+    if method == "bal":
+        return apply_balanced(state, features)
+    if method == "mb":
+        return apply_mb(state, scores, out=scores)
+    if method == "fj":
+        return apply_fj(state, scores, out=scores)
     raise ParameterError(f"unknown calibrator tag: {method!r}")
 
 

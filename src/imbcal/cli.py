@@ -210,7 +210,8 @@ def _cmd_calibrate(args):
         val_scores=scores, val_labels=labels,
         class_counts=counts, old_classes=old, new_classes=new,
     )
-    out = calibration.calibrate(args.method, ctx, scores)
+    # the fit reads scores through ctx; apply then overwrites them
+    out = calibration.apply(calibration.fit(args.method, ctx), scores)
 
     target = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:

@@ -241,7 +241,8 @@ def _run_state(cfg, k, table, model, buffer, new_ids):
     new classes' train and val rows in table order, then the memory's rows
     class by class in herded order. They are checked, then trained on and
     admitted; the state's tables and score matrices live only in this call,
-    and each is dropped after its last reader.
+    and each is dropped after its last reader. Each calibrator is fitted
+    before its test scores are made.
     """
     new = (table.labels >= new_ids.start) & (table.labels < new_ids.stop)
     new_rows = np.flatnonzero(new & (table.splits != dataset.TEST))
@@ -287,29 +288,28 @@ def _run_state(cfg, k, table, model, buffer, new_ids):
     )
 
     test_part = table.subset((table.splits == dataset.TEST) & (table.labels < new_ids.stop))
-    raw = backbone.scores(model, test_part.features)
     bal_config = replace(cfg.train, seed=derive_seed(cfg.model_seed, 2000, k))
     per_method = {}
     for i, method in enumerate(cfg.methods):
         try:
-            calibrated = calibration.calibrate(
-                method, ctx, raw, test_part.features, model, bal_config
-            )
+            state = calibration.fit(method, ctx, model, bal_config)
         except (ParameterError, ConfigurationError) as exc:
             raise ConfigurationError(f"state {k}, method {method}: {exc}") from exc
         if i == last_reader:
             ctx = replace(ctx, train_scores=None)
+        # a score-reading method gets test scores of its own, made after its
+        # fit, and its apply, then the ECE softmax, overwrite them
+        raw = (None if method in calibration.FEATURE_METHODS
+               else backbone.scores(model, test_part.features))
+        calibrated = calibration.apply(state, raw, test_part.features)
         preds = calibration.predict(calibrated)
-        # the ECE softmax overwrites a method's own scores, but never raw,
-        # which the later methods read
-        probs_out = None if calibrated is raw else calibrated
         per_method[method] = metrics.MethodResult(
             top1=metrics.top1(preds, test_part.labels),
-            ece=metrics.ece(backbone.softmax(calibrated, out=probs_out), preds,
+            ece=metrics.ece(backbone.softmax(calibrated, out=calibrated), preds,
                             test_part.labels, cfg.ece_bins),
         )
         # the next method fits without this one's (test rows, classes) scores
-        del calibrated, preds, probs_out
+        del state, raw, calibrated, preds
     return model, buffer, metrics.StateReport(k, mu_old, mu_new, per_method)
 
 

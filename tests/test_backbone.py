@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,19 @@ class TestScores:
         m = LinearModel(np.eye(2), np.zeros(2))
         with pytest.raises(ParameterError):
             scores(m, np.array([1.0, 0.0]))
+
+    def test_peak_is_its_output(self):
+        # the bias is added in place: no second (n, N) matrix
+        gen = np.random.default_rng(0)
+        m = LinearModel(gen.normal(size=(150, 32)), gen.normal(size=150))
+        features = gen.normal(size=(3000, 32))
+        tracemalloc.start()
+        try:
+            out = scores(m, features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
 
 
 class TestSoftmax:

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbcal import backbone
+from imbcal import backbone, calibration
 from imbcal.backbone import TrainConfig, extend_model, scores
 from imbcal.calibration import (
+    FEATURE_METHODS,
     METHOD_TAGS,
     NEM_EPSILON,
     CalibContext,
@@ -23,7 +24,7 @@ from imbcal.calibration import (
     apply_platt,
     apply_step_map,
     apply_threshold,
-    calibrate,
+    fit,
     fit_balanced,
     fit_fj,
     fit_isotonic,
@@ -232,6 +233,23 @@ class TestPlatt:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * out.nbytes
+
+    @pytest.mark.parametrize("num_classes", [150, 600])
+    def test_fit_peak_does_not_grow_with_the_classes(self, num_classes):
+        # each block builds its own positives, so no (classes, rows) mask
+        # is held: the peak is a block's temporaries, whatever the classes
+        gen = np.random.default_rng(0)
+        n = 3000
+        labels = np.concatenate([np.arange(num_classes), gen.integers(0, num_classes, n - num_classes)])
+        s = gen.normal(size=(n, num_classes)) + 2.0 * (labels[:, None] == np.arange(num_classes))
+        ctx = make_ctx(s, labels)
+        tracemalloc.start()
+        try:
+            fit_platt(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * calibration.PLATT_BLOCK_ELEMENTS * 8
 
     @staticmethod
     def _smoothed_nll(params, s, t):
@@ -537,14 +555,31 @@ class TestPredict:
             predict(np.empty((0, 3)))
 
 
-def test_calibrate_rejects_unknown_tag():
+def test_fit_and_apply_reject_an_unknown_tag():
     with pytest.raises(ParameterError):
-        calibrate("magic", make_ctx(np.zeros((2, 2)), [0, 1]), np.zeros((1, 2)))
+        fit("magic", make_ctx(np.zeros((2, 2)), [0, 1]))
+    with pytest.raises(ParameterError):
+        calibration.apply(CalibratorState("magic", {}), np.zeros((1, 2)))
+
+
+def _pure_apply(state, raw, features):
+    """A fitted method's calibrated scores from its apply_* in the pure form."""
+    return {
+        "none": lambda: raw.copy(),
+        "iso": lambda: apply_isotonic(state, raw),
+        "pl": lambda: apply_platt(state, raw),
+        "th": lambda: apply_threshold(state, backbone.softmax(raw)),
+        "nem": lambda: apply_nem(state, features),
+        "bal": lambda: apply_balanced(state, features),
+        "mb": lambda: apply_mb(state, raw),
+        "fj": lambda: apply_fj(state, raw),
+    }[state.method]()
 
 
 def test_calibrators_leave_their_inputs_alone():
-    """Every method fits and applies with every input read-only, and leaves
-    each input's bytes as they were."""
+    """Every method fits with every input read-only. Each apply_* writes
+    nothing without ``out`` and only into ``out`` with it, and ``apply``
+    writes only into the scores it is handed, with the pure form's bits."""
     gen = np.random.default_rng(0)
     n_classes, dim = 3, 4
     table, buffer = exemplar_table({c: gen.normal(size=(10, dim)) + 2 * c for c in range(n_classes)})
@@ -561,6 +596,25 @@ def test_calibrators_leave_their_inputs_alone():
         a.setflags(write=False)
     before = [a.tobytes() for a in inputs]
     for method in ("none",) + METHOD_TAGS:
-        out = calibrate(method, ctx, raw, features, model, TrainConfig(epochs=2, seed=0))
-        assert out.shape == raw.shape, method
+        state = fit(method, ctx, model, TrainConfig(epochs=2, seed=0))
+        pure = _pure_apply(state, raw, features)
+        assert pure.shape == raw.shape, method
+        own = raw.copy()
+        out = calibration.apply(state, own, features)
+        assert out.tobytes() == pure.tobytes(), method
+        if method in FEATURE_METHODS:
+            assert own.tobytes() == raw.tobytes(), method
+        else:
+            assert out is own, method
+    for apply_fn, fitted, x in [
+        (apply_isotonic, fit_isotonic(ctx), raw),
+        (apply_platt, fit_platt(ctx), raw),
+        (apply_threshold, fit_threshold(ctx), backbone.softmax(raw)),
+        (apply_mb, fit_mb(ctx), raw),
+        (apply_fj, fit_fj(ctx), raw),
+    ]:
+        x.setflags(write=False)
+        out = np.empty_like(raw)
+        assert apply_fn(fitted, x, out=out) is out
+        assert out.tobytes() == apply_fn(fitted, x).tobytes()
     assert [a.tobytes() for a in inputs] == before

@@ -8,7 +8,9 @@ tensor, herding that orders every row of one class, SGD that takes the
 softmax and the loss with an exp each, the feature and score CSV
 loaders that call ``float`` on each ``csv.reader`` cell, the th and mb
 applies that preceded the shared per-class factor multiply, softmax and
-Platt's apply with a new array per step, nem and bal reading the memory
+Platt's apply with a new array per step, each apply into a new matrix
+rather than over the scores it is handed, the scores' bias added into a
+second matrix, Platt in blocks of 2^15 scores, nem and bal reading the memory
 copied out as one table, a state's rows copied out as tables and joined
 before a train mask split them, and the table build that drew, scanned
 and relabeled one class at a time. The fast versions perform the same
@@ -54,6 +56,8 @@ from imbcal.calibration import (
     PLATT_MAX_ITER,
     CalibContext,
     CalibratorState,
+    apply_fj,
+    apply_isotonic,
     apply_mb,
     apply_nem,
     apply_platt,
@@ -939,29 +943,37 @@ def test_each_readme_state_reads_the_rows_the_copied_tables_held():
     test rows equal, bit for bit, those of the copy-and-join construction.
 
     The training scores are read from the contexts handed to iso and pl:
-    once the last of them has run, later methods get none."""
+    once the last of them has run, later methods get none. Every
+    score-reading method's apply is handed the test rows' raw scores."""
     states, calibrating = [], []
-    backbone_train, calibrate = backbone.train, calibration.calibrate
+    backbone_train, fit, apply = backbone.train, calibration.fit, calibration.apply
 
     def recording_train(model, table, config):
         trained = backbone_train(model, table, config)
-        if not calibrating:  # bal retrains inside calibrate
-            states.append({"table": table, "model": trained, "readers": {}})
+        if not calibrating:  # bal retrains inside fit
+            states.append({"table": table, "model": trained, "readers": {}, "raws": {}})
         return trained
 
-    def recording_calibrate(method, ctx, raw, features, model, config):
-        states[-1].update(ctx=ctx, raw=raw, features=features, calibrated_model=model)
+    def recording_fit(method, ctx, model, config):
+        states[-1].update(ctx=ctx, calibrated_model=model)
         if method in calibration.TRAIN_SCORE_METHODS:
             states[-1]["readers"][method] = ctx
         calibrating.append(method)
         try:
-            return calibrate(method, ctx, raw, features, model, config)
+            return fit(method, ctx, model, config)
         finally:
             calibrating.pop()
 
+    def recording_apply(state, raw, features):
+        states[-1]["features"] = features
+        if raw is not None:  # copied before the apply overwrites it
+            states[-1]["raws"][state.method] = raw.copy()
+        return apply(state, raw, features)
+
     cfg = harness.config_from_dict(README_CONFIG)
     with mock.patch.object(backbone, "train", recording_train), \
-            mock.patch.object(calibration, "calibrate", recording_calibrate):
+            mock.patch.object(calibration, "fit", recording_fit), \
+            mock.patch.object(calibration, "apply", recording_apply):
         harness.run_experiment(cfg)
     assert len(states) == cfg.num_states
     buffer = memory.MemoryBuffer.empty(cfg.memory)
@@ -979,7 +991,10 @@ def test_each_readme_state_reads_the_rows_the_copied_tables_held():
         assert _same(ctx.class_counts,
                      np.bincount(old_train.labels, minlength=ctx.new_classes[-1] + 1))
         assert _same(state["features"], old_test.features)
-        assert _same(state["raw"], backbone.scores(model, old_test.features))
+        assert sorted(state["raws"]) == sorted(
+            m for m in cfg.methods if m not in calibration.FEATURE_METHODS)
+        for raw in state["raws"].values():
+            assert _same(raw, backbone.scores(model, old_test.features))
         buffer = ctx.buffer
 
 
@@ -1253,6 +1268,107 @@ def test_apply_platt_in_place_is_bitwise_equal_to_the_temporaries(data):
     with np.errstate(over="ignore", invalid="ignore"):
         out = apply_platt(CalibratorState("pl", {"A": a, "C": c}), scores)
         assert _same(out, oracle_apply_platt(a, c, scores))
+
+
+# ---------------------------------------------------------------------------
+# fit first, then score: each apply overwrites the test scores it is handed,
+# and the scores' bias is added in place
+
+
+def _fitted_score_apply(data):
+    """(state, scores): a fitted state of iso, pl, th, mb or fj, and scores."""
+    n_classes = data.draw(st.integers(1, 6))
+    scores = _score_matrix(data, n_classes)
+    method = data.draw(st.sampled_from(["iso", "pl", "th", "mb", "fj"]))
+    if method == "iso":
+        boundaries, levels = {}, {}
+        for c in data.draw(st.sets(st.integers(0, n_classes - 1))):
+            cuts = sorted(data.draw(st.lists(st.floats(-1e3, 1e3), max_size=4)))
+            boundaries[c] = np.array(cuts, dtype=np.float64)
+            levels[c] = np.array(sorted(data.draw(st.lists(
+                st.floats(0, 1), min_size=len(cuts) + 1, max_size=len(cuts) + 1))))
+        return CalibratorState("iso", {"boundaries": boundaries, "levels": levels}), scores
+    params = st.lists(st.floats(-1e3, 1e3), min_size=n_classes, max_size=n_classes)
+    if method == "pl":
+        a, c = np.array(data.draw(params)), np.array(data.draw(params))
+        return CalibratorState("pl", {"A": a, "C": c}), scores
+    factors = data.draw(st.lists(st.floats(allow_nan=False) | st.just(-0.0),
+                                 min_size=n_classes, max_size=n_classes))
+    return CalibratorState(method, {"factors": np.array(factors)}), scores
+
+
+PURE_APPLIES = {"iso": apply_isotonic, "pl": apply_platt, "th": apply_threshold,
+                "mb": apply_mb, "fj": apply_fj}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_each_apply_over_its_input_is_bitwise_equal_to_its_pure_form(data):
+    state, scores = _fitted_score_apply(data)
+    apply_fn = PURE_APPLIES[state.method]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pure = apply_fn(state, scores)
+        own = scores.copy()
+        assert apply_fn(state, own, out=own) is own
+        assert _same(own, pure)
+        if state.method != "th":  # apply takes th's softmax first
+            own = scores.copy()
+            assert calibration.apply(state, own) is own
+            assert _same(own, pure)
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_matrices(), st.data())
+def test_threshold_apply_is_the_factors_over_the_softmax(raw, data):
+    counts = data.draw(st.lists(st.integers(1, 10**6), min_size=raw.shape[1],
+                                max_size=raw.shape[1]))
+    state = fit_threshold(_factor_ctx(counts))
+    with np.errstate(over="ignore"):
+        pure = apply_threshold(state, softmax(raw))
+        own = raw.copy()
+        assert calibration.apply(state, own) is own
+    assert _same(own, pure)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 12), st.integers(1, 8), st.integers(1, 8),
+    st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_scores_are_bitwise_equal_to_the_matmul_plus_bias(n, d, classes, seed, scale):
+    gen = np.random.default_rng(seed)
+    model = LinearModel(gen.normal(size=(classes, d)) * scale, gen.normal(size=classes) * scale)
+    features = gen.normal(size=(n, d)) * scale
+    assert _same(backbone.scores(model, features), features @ model.weights.T + model.biases)
+
+
+def test_scores_match_the_matmul_plus_bias_at_a_vector_loop_sized_shape():
+    # calib's test rows at state 5, and a shape with remainders
+    gen = np.random.default_rng(0)
+    for n, d, classes in ((1500, 32, 150), (257, 33, 131)):
+        model = LinearModel(gen.normal(size=(classes, d)), gen.normal(size=classes))
+        features = gen.normal(size=(n, d))
+        assert _same(backbone.scores(model, features), features @ model.weights.T + model.biases)
+
+
+@pytest.mark.parametrize("n, num_classes", [(3137, 150), (700, 90), (12_000, 5)])
+def test_fit_platt_blocks_of_2_14_scores_keep_the_bits_of_2_15(n, num_classes):
+    # calib's last state is 3137 training rows by 150 classes
+    gen = np.random.default_rng(n)
+    labels = np.concatenate([np.arange(num_classes), gen.integers(0, num_classes, n - num_classes)])
+    gen.shuffle(labels)
+    scores = gen.normal(size=(n, num_classes)) + 2.0 * (labels[:, None] == np.arange(num_classes))
+    scores[:, ::7] += 1e8  # every seventh fit does not converge
+    ctx = CalibContext(scores, labels, scores, labels, np.bincount(labels, minlength=num_classes),
+                       (), tuple(range(num_classes)))
+    assert PLATT_BLOCK_ELEMENTS == 2**14
+    state = fit_platt(ctx)
+    with mock.patch.object(calibration, "PLATT_BLOCK_ELEMENTS", 2**15):
+        wide = fit_platt(ctx)
+    assert _same(state.params["A"], wide.params["A"])
+    assert _same(state.params["C"], wide.params["C"])
+    assert _same(state.flags["converged"], wide.flags["converged"])
+    assert not state.flags["converged"].all()
 
 
 # ---------------------------------------------------------------------------

@@ -122,13 +122,16 @@ class TestRunExperiment:
     def test_each_method_fits_after_the_last_ones_scores_are_freed(self, monkeypatch):
         # a state holds one calibrated score matrix at a time: when a method
         # fits, the last method's scores and predictions are already freed
-        calibrate, predict = calibration.calibrate, calibration.predict
+        fit, apply, predict = calibration.fit, calibration.apply, calibration.predict
         last = []  # weak references to the last method's scores and predictions
 
-        def checking_calibrate(method, ctx, raw, *args):
+        def checking_fit(method, *args):
             assert all(ref() is None for ref in last), method
-            out = calibrate(method, ctx, raw, *args)
-            last[:] = [] if out is raw else [weakref.ref(out)]
+            return fit(method, *args)
+
+        def recording_apply(*args):
+            out = apply(*args)
+            last[:] = [weakref.ref(out)]
             return out
 
         def recording_predict(scores):
@@ -136,10 +139,34 @@ class TestRunExperiment:
             last.append(weakref.ref(preds))
             return preds
 
-        monkeypatch.setattr(calibration, "calibrate", checking_calibrate)
+        monkeypatch.setattr(calibration, "fit", checking_fit)
+        monkeypatch.setattr(calibration, "apply", recording_apply)
         monkeypatch.setattr(calibration, "predict", recording_predict)
         reports, _ = run_experiment(small_config())
         assert set(reports[-1].per_method) == set(ALL_METHODS)
+
+    def test_no_test_scores_are_alive_while_a_method_fits(self, monkeypatch):
+        # while a method fits, the only live score matrices are its
+        # context's: each method's test scores are made after its fit
+        scores, fit = backbone.scores, calibration.fit
+        made = []  # weak references to every score matrix made
+        fitted = []
+
+        def recording_scores(*args):
+            out = scores(*args)
+            made.append(weakref.ref(out))
+            return out
+
+        def checking_fit(method, ctx, *args):
+            own = [id(a) for a in (ctx.train_scores, ctx.val_scores) if a is not None]
+            assert [id(ref()) for ref in made if ref() is not None] == own, method
+            fitted.append(method)
+            return fit(method, ctx, *args)
+
+        monkeypatch.setattr(backbone, "scores", recording_scores)
+        monkeypatch.setattr(calibration, "fit", checking_fit)
+        run_experiment(small_config())
+        assert fitted == list(ALL_METHODS) * 3
 
     def test_the_training_copy_is_freed_before_admission(self, monkeypatch):
         # herding runs without the (train rows, d) features the state trained on
@@ -160,18 +187,23 @@ class TestRunExperiment:
         assert freed == [True] * 3
 
     @pytest.mark.parametrize("methods, per_state", [
-        (("none", "th", "mb"), 2),  # the val rows and the test rows
-        (("none", "iso", "th"), 3),  # and the training rows
-        (("pl", "mb"), 3),
-        (("iso", "th", "pl"), 3),  # once, for both
+        (("none", "th", "mb"), 0),
+        (("none", "iso", "th"), 1),
+        (("pl", "mb"), 1),
+        (("iso", "th", "pl"), 1),  # once, for both
     ])
     def test_training_rows_are_scored_only_for_iso_and_pl(self, monkeypatch, methods, per_state):
-        scores, run_state = backbone.scores, harness._run_state
-        calls, states = [], []
+        scores, train, run_state = backbone.scores, backbone.train, harness._run_state
+        trained, calls, states = [], [], []
 
-        def counted_scores(*args):
-            calls.append(None)
-            return scores(*args)
+        def recording_train(model, table, config):
+            trained.append(weakref.ref(table.features))
+            return train(model, table, config)
+
+        def counted_scores(model, features):
+            if features is trained[-1]():
+                calls.append(None)
+            return scores(model, features)
 
         def counted_state(*args):
             start = len(calls)
@@ -179,38 +211,42 @@ class TestRunExperiment:
             states.append(len(calls) - start)
             return out
 
+        monkeypatch.setattr(backbone, "train", recording_train)
         monkeypatch.setattr(backbone, "scores", counted_scores)
         monkeypatch.setattr(harness, "_run_state", counted_state)
         run_experiment(small_config(methods=methods))
         assert states == [per_state] * 3
 
     def test_methods_after_the_last_of_iso_and_pl_get_no_training_scores(self, monkeypatch):
-        calibrate, seen = calibration.calibrate, []
+        fit, seen = calibration.fit, []
 
-        def recording_calibrate(method, ctx, *args):
+        def recording_fit(method, ctx, *args):
             seen.append((method, ctx.train_scores is None))
-            return calibrate(method, ctx, *args)
+            return fit(method, ctx, *args)
 
-        monkeypatch.setattr(calibration, "calibrate", recording_calibrate)
+        monkeypatch.setattr(calibration, "fit", recording_fit)
         methods = ("none", "iso", "th", "pl", "mb", "fj")
         run_experiment(small_config(methods=methods))
         assert seen == [(m, m in ("mb", "fj")) for m in methods] * 3
 
     def test_no_method_writes_into_raw(self, monkeypatch):
-        # none returns raw itself, and its ECE softmax must not run over it
-        calibrate, seen = calibration.calibrate, []
+        # each score-reading method overwrites test scores of its own: every
+        # one is handed the state's raw scores, whatever ran before it
+        apply, seen = calibration.apply, []
 
-        def recording_calibrate(method, ctx, raw, *args):
-            seen.append((ctx.new_classes, raw.tobytes()))
-            return calibrate(method, ctx, raw, *args)
+        def recording_apply(state, raw, features):
+            if raw is not None:
+                seen.append((features.shape, raw.tobytes()))
+            return apply(state, raw, features)
 
-        monkeypatch.setattr(calibration, "calibrate", recording_calibrate)
+        monkeypatch.setattr(calibration, "apply", recording_apply)
         assert ALL_METHODS[0] == "none"
         run_experiment(small_config())
         by_state = {}
-        for new_classes, raw in seen:
-            by_state.setdefault(new_classes, set()).add(raw)
-        assert len(seen) == 3 * len(ALL_METHODS)
+        for shape, raw in seen:
+            by_state.setdefault(shape, set()).add(raw)
+        score_methods = [m for m in ALL_METHODS if m not in calibration.FEATURE_METHODS]
+        assert len(seen) == 3 * len(score_methods)
         assert [len(raws) for raws in by_state.values()] == [1] * 3
 
     def test_no_stored_row_is_a_test_row_at_any_readme_state(self, monkeypatch):
@@ -1123,13 +1159,13 @@ class TestCli:
                                      "manifest_path": str(tmp_path / "feat.csv.manifest.json")}}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        calibrate, calibrated = calibration.calibrate, []
+        fit, calibrated = calibration.fit, []
 
-        def recording_calibrate(method, ctx, *args):
+        def recording_fit(method, ctx, *args):
             calibrated.append(len(ctx.class_counts) // 2)  # the state: 2 classes each
-            return calibrate(method, ctx, *args)
+            return fit(method, ctx, *args)
 
-        monkeypatch.setattr(calibration, "calibrate", recording_calibrate)
+        monkeypatch.setattr(calibration, "fit", recording_fit)
         trained = self._record_training(monkeypatch)
         with pytest.warns(UserWarning, match="single train record"):
             assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
