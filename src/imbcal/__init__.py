@@ -1,7 +1,7 @@
 """Class-incremental learning with bounded exemplar memory and score calibration."""
 
 from . import backbone, breaks, calibration, dataset, harness, memory, metrics
-from .errors import ConfigurationError, FormatError, ParameterError
+from .errors import FormatError, ParameterError
 
 __all__ = [
     "backbone",
@@ -11,7 +11,6 @@ __all__ = [
     "harness",
     "memory",
     "metrics",
-    "ConfigurationError",
     "FormatError",
     "ParameterError",
 ]

@@ -11,16 +11,17 @@ Method tags and what they consume:
   fj   per-cluster rescaling, classes clustered by image count with
        Fisher-Jenks natural breaks
 
-``fit`` and ``apply`` are the one place that picks a calibrator by tag:
-``fit`` returns the method's ``CalibratorState``, and ``apply`` turns the
-test rows' raw scores (or, for the FEATURE_METHODS, their features) into
-calibrated scores. Each ``apply_*`` is a pure function of the fitted state
-and its input, unless given ``out=``, as ``softmax`` is; ``apply`` passes
-``out=scores``, so a score-reading method overwrites the matrix it is
-handed and a caller makes that matrix only once the fit is done. The
-predicted class is always the argmax of the calibrated scores (for nem the
-reported score is the inverse distance, so argmax coincides with the
-nearest mean).
+``_calibrators`` is the one table of them, a row per tag: its fit_*, its
+apply_*, what the apply reads and whether the fit reads the training scores.
+METHOD_TAGS, FEATURE_METHODS and TRAIN_SCORE_METHODS are read off it, and
+``fit(method, ctx)`` and ``apply`` index it: ``fit`` returns the method's
+``CalibratorState``, and ``apply`` turns the test rows' raw scores (or, for
+the FEATURE_METHODS, their features) into calibrated scores. Each
+``apply_*`` is pure unless given ``out=``, as ``softmax`` is; ``apply``
+passes ``out=scores``, so a score-reading method overwrites the matrix it
+is handed and a caller makes that matrix only once the fit is done. The
+predicted class is the argmax of the calibrated scores (for nem the score
+is the inverse distance to each class mean, so the nearest mean wins).
 """
 
 from __future__ import annotations
@@ -34,14 +35,8 @@ import numpy as np
 from . import backbone, memory
 from .breaks import fisher_jenks
 from .dataset import TRAIN, DatasetTable
-from .errors import ConfigurationError, ParameterError
+from .errors import ParameterError
 from .metrics import group_mean_scores, top1
-
-METHOD_TAGS = ("iso", "pl", "th", "nem", "bal", "mb", "fj")
-# calibrators that read the test features rather than the test scores
-FEATURE_METHODS = ("nem", "bal")
-# calibrators that fit on the training records' scores
-TRAIN_SCORE_METHODS = ("iso", "pl")
 
 NEM_EPSILON = 1e-12
 NEM_CHUNK_ROWS = 64
@@ -71,6 +66,8 @@ class CalibContext:
     new_classes: tuple
     table: DatasetTable | None = None  # the run's relabeled table
     buffer: memory.MemoryBuffer | None = None  # the exemplar memory: row ids into table
+    model: backbone.LinearModel | None = None  # the state's model, which bal retrains a copy of
+    train_config: backbone.TrainConfig | None = None  # bal's retraining config
 
     @property
     def num_classes(self):
@@ -200,7 +197,7 @@ def apply_step_map(boundaries, levels, scores):
 def _train_scores(ctx):
     """The training records' scores; a context built without them is refused."""
     if ctx.train_scores is None:
-        raise ConfigurationError("iso and pl need the training scores")
+        raise ParameterError("iso and pl need the training scores")
     return ctx.train_scores
 
 
@@ -407,11 +404,11 @@ apply_threshold = apply_mb = apply_fj = apply_factors
 def _exemplar_rows(ctx):
     """Each class's row ids into ``ctx.table`` from the memory, in herded order."""
     if ctx.table is None or ctx.buffer is None:
-        raise ConfigurationError("nem and bal need the exemplar memory")
+        raise ParameterError("nem and bal need the exemplar memory")
     rows = [ctx.buffer.classes.get(c, ()) for c in range(ctx.num_classes)]
     for c, r in enumerate(rows):
         if len(r) == 0:
-            raise ConfigurationError(f"class {c} has no exemplars in memory")
+            raise ParameterError(f"class {c} has no exemplars in memory")
     return rows
 
 
@@ -460,15 +457,15 @@ def apply_nem(state, features):
 # balanced fine tuning
 
 
-def fit_balanced(ctx, model, config):
-    """Retrain a copy of the classification layer on a balanced exemplar table.
+def fit_balanced(ctx):
+    """Retrain a copy of ctx.model on a balanced exemplar table, under ctx.train_config.
 
     Each class contributes the train-split rows among its first floor(B / N)
     exemplars; ``train`` fits every row it is given.
     """
     rows = [r[:ctx.buffer.capacity // ctx.num_classes] for r in _exemplar_rows(ctx)]
     rows = [r[ctx.table.splits[r] == TRAIN] for r in rows]
-    retrained = backbone.train(model, ctx.table.subset(np.concatenate(rows)), config)
+    retrained = backbone.train(ctx.model, ctx.table.subset(np.concatenate(rows)), ctx.train_config)
     state = CalibratorState("bal", {"weights": retrained.weights, "biases": retrained.biases})
     state.flags["per_class_used"] = {c: len(r) for c, r in enumerate(rows)}
     return state
@@ -547,30 +544,41 @@ def fit_fj(ctx):
 # ---------------------------------------------------------------------------
 
 
-def fit(method, ctx, model=None, train_config=None):
-    """Fit ``method`` on ctx: its CalibratorState.
+def _calibrators():
+    """Each tag's (fit, apply, what apply reads, whether fit reads the
+    training scores). Built on each call, so a wrapper set on the module (as
+    bench/spans.py sets on every fit_* and apply_*) is what fit and apply run."""
+    return {
+        "iso": (fit_isotonic, apply_isotonic, "raw scores", True),
+        "pl": (fit_platt, apply_platt, "raw scores", True),
+        "th": (fit_threshold, apply_threshold, "softmax probs", False),
+        "nem": (fit_nem, apply_nem, "features", False),
+        "bal": (fit_balanced, apply_balanced, "features", False),
+        "mb": (fit_mb, apply_mb, "raw scores", False),
+        "fj": (fit_fj, apply_fj, "raw scores", False),
+    }
 
-    ``none`` fits nothing, and bal retrains a copy of ``model`` under
-    ``train_config``. Each fit_* is looked up when called, so a wrapper
-    set on the module (as bench/spans.py sets) is the one that runs.
-    """
+
+METHOD_TAGS = tuple(_calibrators())
+# calibrators that read the test features rather than the test scores
+FEATURE_METHODS = tuple(m for m, row in _calibrators().items() if row[2] == "features")
+# calibrators that fit on the training records' scores
+TRAIN_SCORE_METHODS = tuple(m for m, row in _calibrators().items() if row[3])
+
+
+def _row(method):
+    """``method``'s row of the table; an unknown tag is refused."""
+    if method not in METHOD_TAGS:
+        raise ParameterError(f"unknown calibrator tag: {method!r}")
+    return _calibrators()[method]
+
+
+def fit(method, ctx):
+    """Fit ``method`` on ctx: its CalibratorState. ``none`` fits nothing,
+    and bal retrains a copy of ctx.model under ctx.train_config."""
     if method == "none":
         return CalibratorState("none", {})
-    if method == "iso":
-        return fit_isotonic(ctx)
-    if method == "pl":
-        return fit_platt(ctx)
-    if method == "th":
-        return fit_threshold(ctx)
-    if method == "nem":
-        return fit_nem(ctx)
-    if method == "bal":
-        return fit_balanced(ctx, model, train_config)
-    if method == "mb":
-        return fit_mb(ctx)
-    if method == "fj":
-        return fit_fj(ctx)
-    raise ParameterError(f"unknown calibrator tag: {method!r}")
+    return _row(method)[0](ctx)
 
 
 def apply(state, scores, features=None):
@@ -580,24 +588,14 @@ def apply(state, scores, features=None):
     scores, and returns it (``none`` returns it as is); the FEATURE_METHODS
     read the test ``features`` and return a new matrix.
     """
-    method = state.method
-    if method == "none":
+    if state.method == "none":
         return scores
-    if method == "iso":
-        return apply_isotonic(state, scores, out=scores)
-    if method == "pl":
-        return apply_platt(state, scores, out=scores)
-    if method == "th":
-        return apply_threshold(state, backbone.softmax(scores, out=scores), out=scores)
-    if method == "nem":
-        return apply_nem(state, features)
-    if method == "bal":
-        return apply_balanced(state, features)
-    if method == "mb":
-        return apply_mb(state, scores, out=scores)
-    if method == "fj":
-        return apply_fj(state, scores, out=scores)
-    raise ParameterError(f"unknown calibrator tag: {method!r}")
+    _, apply_fn, reads, _ = _row(state.method)
+    if reads == "features":
+        return apply_fn(state, features)
+    if reads == "softmax probs":
+        return apply_fn(state, backbone.softmax(scores, out=scores), out=scores)
+    return apply_fn(state, scores, out=scores)
 
 
 def predict(calibrated_scores):

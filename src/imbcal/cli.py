@@ -22,12 +22,10 @@ import numpy as np
 
 from . import calibration, dataset, harness
 from .breaks import fisher_jenks
-from .errors import ConfigurationError, FormatError, ParameterError
+from .errors import FormatError, ParameterError
 
 # calibrators that can be fitted from a labeled score file alone
-SCORE_METHODS = tuple(
-    m for m in calibration.METHOD_TAGS if m not in calibration.FEATURE_METHODS
-)
+SCORE_METHODS = tuple(m for m in calibration.METHOD_TAGS if m not in calibration.FEATURE_METHODS)
 
 
 def _build_parser():
@@ -235,7 +233,7 @@ def main(argv=None):
     }
     try:
         handlers[args.command](args)
-    except (ParameterError, ConfigurationError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FormatError, OSError) as exc:

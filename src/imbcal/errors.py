@@ -2,12 +2,8 @@
 
 
 class ParameterError(ValueError):
-    """An argument violates a documented precondition."""
+    """An argument or a config violates a documented precondition: exit 2."""
 
 
 class FormatError(ValueError):
-    """An input file does not conform to the expected format."""
-
-
-class ConfigurationError(ValueError):
-    """A run is configured inconsistently (e.g. a class without exemplars)."""
+    """An input file does not conform to the expected format: exit 3."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import backbone, calibration, dataset, memory, metrics
-from .errors import ConfigurationError, ParameterError
+from .errors import ParameterError
 from .rng import derive_seed
 
 ALL_METHODS = ("none",) + calibration.METHOD_TAGS
@@ -61,6 +61,9 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(ALL_METHODS)
         if unknown:
             raise ParameterError(f"unknown calibrator tags: {sorted(unknown)}")
+        twice = [m for i, m in enumerate(self.methods) if m in self.methods[:i]]
+        if twice:
+            raise ParameterError(f"methods lists {twice[0]} twice")
         if self.memory < 0 or self.num_states < 2:
             raise ParameterError("memory must be >= 0 and num_states >= 2")
         if self.ece_bins < 1:
@@ -78,6 +81,8 @@ class ExperimentConfig:
 # Python types it reads as. A bool is none of them, though Python calls it an int.
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "object": dict,
                "list of tags": list, "list of class ids": list}
+# each list kind's entry type, and its entries in messages
+_LIST_ENTRIES = {"list of tags": (str, "strings"), "list of class ids": (int, "integers")}
 
 # Each config section's keys: JSON key -> (the field it sets, its JSON type).
 # An "object" key is a section of its own, whose fields build the dataclass in
@@ -155,10 +160,11 @@ def _fields(obj, section=""):
             fields[name] = float(value)
             if not np.isfinite(fields[name]):
                 raise ParameterError(f"{qualified} must be finite, got {fields[name]!r}")
-        elif kind.startswith("list"):
-            bad = [c for c in value if type(c) is not int]
-            if kind == "list of class ids" and bad:
-                raise ParameterError(f"{qualified} entries must be JSON integers, got {bad[0]!r}")
+        elif kind in _LIST_ENTRIES:
+            entry, entries = _LIST_ENTRIES[kind]
+            bad = [c for c in value if type(c) is not entry]
+            if bad:
+                raise ParameterError(f"{qualified} entries must be JSON {entries}, got {bad[0]!r}")
             fields[name] = tuple(value)
         else:
             fields[name] = value
@@ -200,13 +206,13 @@ def run_experiment(cfg):
     needs_exemplars = [m for m in cfg.methods if m in calibration.FEATURE_METHODS]
     if needs_exemplars and cfg.memory < seen_by_state[-1]:
         k = int(np.argmax(seen_by_state > cfg.memory))
-        raise ConfigurationError(
+        raise ParameterError(
             f"state {k + 1}, method {needs_exemplars[0]}: memory {cfg.memory} is "
             f"smaller than the {seen_by_state[k]} classes seen"
         )
     # one-vs-all Platt scaling needs a negative class at every state
     if "pl" in cfg.methods and plan.classes_per_state[0] == 1:
-        raise ConfigurationError(
+        raise ParameterError(
             "state 1, method pl: the state holds a single class, so one-vs-all "
             "Platt scaling has no negative sample"
         )
@@ -214,7 +220,7 @@ def run_experiment(cfg):
     # seen before the last state
     if cfg.memory < seen_by_state[-2]:
         k = int(np.argmax(seen_by_state > cfg.memory))
-        raise ConfigurationError(
+        raise ParameterError(
             f"state {k + 2}: memory {cfg.memory} is smaller than the "
             f"{seen_by_state[k]} classes seen before it"
         )
@@ -251,11 +257,11 @@ def _run_state(cfg, k, table, model, buffer, new_ids):
     train = table.splits[rows] == dataset.TRAIN
     counts = np.bincount(labels[train], minlength=new_ids.stop)
     if np.any(counts == 0):
-        raise ConfigurationError(f"state {k}: a class has no train records")
+        raise ParameterError(f"state {k}: a class has no train records")
     if train.all():
-        raise ConfigurationError(f"state {k}: no validation samples")
+        raise ParameterError(f"state {k}: no validation samples")
     if not np.any(labels[~train] >= new_ids.start):
-        raise ConfigurationError(f"state {k}: no samples from new classes")
+        raise ParameterError(f"state {k}: no samples from new classes")
 
     model = backbone.extend_model(model, len(new_ids), table.dim, derive_seed(cfg.model_seed, 1, k))
     train_part = table.subset(rows[train])
@@ -281,6 +287,8 @@ def _run_state(cfg, k, table, model, buffer, new_ids):
         new_classes=tuple(new_ids),
         table=table,
         buffer=buffer,
+        model=model,
+        train_config=replace(cfg.train, seed=derive_seed(cfg.model_seed, 2000, k)),
     )
     del train_scores  # ctx holds them alone
     mu_old, mu_new = metrics.group_mean_scores(
@@ -288,13 +296,12 @@ def _run_state(cfg, k, table, model, buffer, new_ids):
     )
 
     test_part = table.subset((table.splits == dataset.TEST) & (table.labels < new_ids.stop))
-    bal_config = replace(cfg.train, seed=derive_seed(cfg.model_seed, 2000, k))
     per_method = {}
     for i, method in enumerate(cfg.methods):
         try:
-            state = calibration.fit(method, ctx, model, bal_config)
-        except (ParameterError, ConfigurationError) as exc:
-            raise ConfigurationError(f"state {k}, method {method}: {exc}") from exc
+            state = calibration.fit(method, ctx)
+        except ParameterError as exc:
+            raise ParameterError(f"state {k}, method {method}: {exc}") from exc
         if i == last_reader:
             ctx = replace(ctx, train_scores=None)
         # a score-reading method gets test scores of its own, made after its

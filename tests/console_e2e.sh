@@ -5,22 +5,24 @@
 # outputs), then a corrupted copy, then a config whose output_dir is a
 # number, then one whose train.lr is NaN, then one with the misspelt key
 # methds, then an unknown imbalance kind and a val_fraction outside (0, 1),
-# then calibrate on a score file that is not UTF-8, mb with a class id that
-# is not an integer, a counts file listing a class twice, counts files with
-# a 400-digit count and with a 5000-digit one (past int()'s digit limit),
-# counts files whose class id has 400 digits and 5000 digits, mb with a
-# 5000-digit --old id (each must exit with its code and a greppable message,
-# print no traceback and not echo the long id), mb with a class both old and
-# new, then feature and score CSVs with a 400-digit and a 5000-digit label,
-# a manifest whose classes (10**25) is beyond int64 over a 20-digit label,
-# and a counts file with a quoted field (each exits 3 with a greppable
-# message and no traceback, and a long label is not echoed), then a config
-# with a 5000-digit memory (exit 2) and a manifest with a 5000-digit classes
-# (exit 3), each reported as invalid JSON without echoing the digits, and a
-# synthetic table of 10**25 classes through run and gen (exit 2, refused
-# before any data is drawn), and a synthetic table of 10**6 classes x 100
-# rows x 1000 dims through run and gen, each in a subshell whose virtual
-# memory is capped at 1.5 GB (exit 2 with "out of memory", no output).
+# then a methods list with an entry that is not a string and one that lists
+# a tag twice, then calibrate on a score file that is not UTF-8, mb with a
+# class id that is not an integer, a counts file listing a class twice,
+# counts files with a 400-digit count and with a 5000-digit one (past
+# int()'s digit limit), counts files whose class id has 400 digits and 5000
+# digits, mb with a 5000-digit --old id (each must exit with its code and a
+# greppable message, print no traceback and not echo the long id), mb with a
+# class both old and new, then feature and score CSVs with a 400-digit and a
+# 5000-digit label, a manifest whose classes (10**25) is beyond int64 over a
+# 20-digit label, and a counts file with a quoted field (each exits 3 with a
+# greppable message and no traceback, and a long label is not echoed), then
+# a config with a 5000-digit memory (exit 2) and a manifest with a
+# 5000-digit classes (exit 3), each reported as invalid JSON without echoing
+# the digits, and a synthetic table of 10**25 classes through run and gen
+# (exit 2, refused before any data is drawn), and a synthetic table of 10**6
+# classes x 100 rows x 1000 dims through run and gen, each in a subshell
+# whose virtual memory is capped at 1.5 GB (exit 2 with "out of memory", no
+# output).
 #
 #   cd "$(mktemp -d)" && bash /path/to/tests/console_e2e.sh
 set -eo pipefail
@@ -84,6 +86,22 @@ test "$status" -eq 2
 grep -F 'val_fraction must be in (0, 1), got 1.5' err.txt
 if grep -F Traceback err.txt; then exit 1; fi
 test ! -e frac-out
+sed 's/"methods": \[[^]]*\]/"methods": ["iso", 1]/' cfg.json > int-tag.json
+status=0
+imbcal run --config int-tag.json --out int-tag-out 2> err.txt || status=$?
+cat err.txt
+test "$status" -eq 2
+grep -F 'methods entries must be JSON strings, got 1' err.txt
+if grep -F Traceback err.txt; then exit 1; fi
+test ! -e int-tag-out
+sed 's/"methods": \[[^]]*\]/"methods": ["none", "th", "th"]/' cfg.json > twice-tag.json
+status=0
+imbcal run --config twice-tag.json --out twice-tag-out 2> err.txt || status=$?
+cat err.txt
+test "$status" -eq 2
+grep -F 'methods lists th twice' err.txt
+if grep -F Traceback err.txt; then exit 1; fi
+test ! -e twice-tag-out
 printf 'label,s0,s1\n0,2.0,1.0\n1,1.0,2.\xff\n' > latin.csv
 status=0
 imbcal calibrate --method iso --scores latin.csv 2> err.txt || status=$?

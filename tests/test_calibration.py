@@ -1,5 +1,8 @@
+import ast
 import dataclasses
 import tracemalloc
+from itertools import takewhile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbcal import backbone, calibration
+from imbcal import backbone, calibration, harness
 from imbcal.backbone import TrainConfig, extend_model, scores
 from imbcal.calibration import (
     FEATURE_METHODS,
@@ -37,8 +40,10 @@ from imbcal.calibration import (
     predict,
 )
 from imbcal.dataset import DatasetTable
-from imbcal.errors import ConfigurationError, ParameterError
+from imbcal.errors import ParameterError
 from imbcal.memory import MemoryBuffer
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_ctx(train_scores, train_labels, val_scores=None, val_labels=None,
@@ -284,7 +289,7 @@ class TestPlatt:
 @pytest.mark.parametrize("fit", [fit_isotonic, fit_platt])
 def test_iso_and_pl_refuse_a_context_without_training_scores(fit):
     ctx = dataclasses.replace(make_ctx(np.zeros((2, 2)), [0, 1]), train_scores=None)
-    with pytest.raises(ConfigurationError, match="iso and pl need the training scores"):
+    with pytest.raises(ParameterError, match="iso and pl need the training scores"):
         fit(ctx)
 
 
@@ -353,11 +358,11 @@ class TestNem:
 
     def test_missing_class_rejected(self):
         ctx = make_ctx(np.zeros((2, 2)), [0, 1], **memory_kw({0: np.zeros((1, 2))}))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ParameterError):
             fit_nem(ctx)
 
     def test_missing_memory_rejected(self):
-        with pytest.raises(ConfigurationError, match="need the exemplar memory"):
+        with pytest.raises(ParameterError, match="need the exemplar memory"):
             fit_nem(make_ctx(np.zeros((2, 2)), [0, 1]))
 
     @settings(max_examples=100, deadline=None)
@@ -398,9 +403,10 @@ class TestBalanced:
         exemplars = {c: rng.normal(size=(14, dim)) + 3 * c for c in range(n_classes)}
         exemplars[3] = exemplars[3][:5]  # one class stored fewer than the quota
         ctx = make_ctx(np.zeros((n_classes, n_classes)), list(range(n_classes)),
-                       **memory_kw(exemplars, capacity=capacity))
-        model = extend_model(None, n_classes, dim, seed=0)
-        state = fit_balanced(ctx, model, TrainConfig(epochs=2, seed=0))
+                       **memory_kw(exemplars, capacity=capacity),
+                       model=extend_model(None, n_classes, dim, seed=0),
+                       train_config=TrainConfig(epochs=2, seed=0))
+        state = fit_balanced(ctx)
         used = state.flags["per_class_used"]
         assert all(used[c] == 12 for c in range(n_classes) if c != 3)  # floor(100/8)
         assert used[3] == 5
@@ -419,9 +425,10 @@ class TestBalanced:
                   2: np.array([9, 10, 12, 11, 13, 14])}
         quota = 12 // 3
         ctx = make_ctx(np.zeros((3, 3)), [0, 1, 2], table=table,
-                       buffer=MemoryBuffer(12, stored))
+                       buffer=MemoryBuffer(12, stored), model=extend_model(None, 3, 3, seed=0),
+                       train_config=TrainConfig(epochs=2))
         with mock.patch.object(backbone, "train", wraps=backbone.train) as spy:
-            state = fit_balanced(ctx, extend_model(None, 3, 3, seed=0), TrainConfig(epochs=2))
+            state = fit_balanced(ctx)
         used = {c: [r for r in rows[:quota] if splits[r] == "train"]
                 for c, rows in stored.items()}
         assert used == {0: [5, 0], 1: [8, 7], 2: [11]}
@@ -437,9 +444,10 @@ class TestBalanced:
         dim = 3
         exemplars = {c: rng.normal(scale=0.2, size=(10, dim)) + 8 * np.eye(dim)[c]
                      for c in range(3)}
-        ctx = make_ctx(np.zeros((3, 3)), [0, 1, 2], **memory_kw(exemplars, capacity=30))
-        model = extend_model(None, 3, dim, seed=0)
-        state = fit_balanced(ctx, model, TrainConfig(epochs=25, seed=0))
+        ctx = make_ctx(np.zeros((3, 3)), [0, 1, 2], **memory_kw(exemplars, capacity=30),
+                       model=extend_model(None, 3, dim, seed=0),
+                       train_config=TrainConfig(epochs=25, seed=0))
+        state = fit_balanced(ctx)
         for c in range(3):
             preds = predict(apply_balanced(state, exemplars[c]))
             assert np.mean(preds == c) >= 0.9
@@ -447,21 +455,24 @@ class TestBalanced:
     def test_zero_quota_rejected(self):
         # capacity 2 over 3 classes gives floor(2 / 3) = 0 rows per class
         ctx = make_ctx(np.zeros((3, 3)), [0, 1, 2],
-                       **memory_kw({c: np.zeros((1, 2)) for c in range(3)}, capacity=2))
+                       **memory_kw({c: np.zeros((1, 2)) for c in range(3)}, capacity=2),
+                       model=extend_model(None, 3, 2, seed=0), train_config=TrainConfig(epochs=1))
         with pytest.raises(ParameterError):
-            fit_balanced(ctx, extend_model(None, 3, 2, seed=0), TrainConfig(epochs=1))
+            fit_balanced(ctx)
 
     def test_all_val_table_rejected(self):
         val_only = memory_kw({0: np.zeros((1, 2)), 1: np.zeros((1, 2))}, capacity=4, split="val")
-        ctx = make_ctx(np.zeros((2, 2)), [0, 1], **val_only)
+        ctx = make_ctx(np.zeros((2, 2)), [0, 1], **val_only,
+                       model=extend_model(None, 2, 2, seed=0), train_config=TrainConfig(epochs=1))
         with pytest.raises(ParameterError):
-            fit_balanced(ctx, extend_model(None, 2, 2, seed=0), TrainConfig(epochs=1))
+            fit_balanced(ctx)
 
     def test_missing_capacity_rejected(self):
         table, _ = exemplar_table({0: np.zeros((1, 2)), 1: np.zeros((1, 2))})
-        ctx = make_ctx(np.zeros((2, 2)), [0, 1], table=table)  # no buffer, so no capacity
-        with pytest.raises(ConfigurationError):
-            fit_balanced(ctx, extend_model(None, 2, 2, seed=0), TrainConfig())
+        ctx = make_ctx(np.zeros((2, 2)), [0, 1], table=table,  # no buffer, so no capacity
+                       model=extend_model(None, 2, 2, seed=0), train_config=TrainConfig())
+        with pytest.raises(ParameterError):
+            fit_balanced(ctx)
 
 
 class TestMb:
@@ -562,6 +573,59 @@ def test_fit_and_apply_reject_an_unknown_tag():
         calibration.apply(CalibratorState("magic", {}), np.zeros((1, 2)))
 
 
+def _spans_calibrators():
+    """bench/spans.py's CALIBRATORS, tag -> (fit name, apply name), read from its source."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["CALIBRATORS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py defines no CALIBRATORS")
+
+
+def test_the_traced_bench_names_every_calibrator():
+    assert sorted(_spans_calibrators()) == sorted(METHOD_TAGS)
+
+
+@pytest.mark.parametrize("tag, names", sorted(_spans_calibrators().items()))
+def test_fit_and_apply_run_a_wrapper_set_on_the_module(monkeypatch, tag, names):
+    # the traced bench times each calibrator by setting wrappers of its
+    # fit_* and apply_* on the module: fit and apply must call through them
+    gen = np.random.default_rng(0)
+    table, buffer = exemplar_table({c: gen.normal(size=(10, 4)) + 2 * c for c in range(3)})
+    model = extend_model(None, 3, 4, seed=0)
+    ctx = make_ctx(scores(model, table.features), table.labels, old=(0,), table=table,
+                   buffer=buffer, model=model, train_config=TrainConfig(epochs=2, seed=0))
+    called = []
+    for name in names:
+        def wrapper(*args, _name=name, _original=getattr(calibration, name), **kwargs):
+            called.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, name, wrapper)
+    features = gen.normal(size=(5, 4))
+    state = calibration.fit(tag, ctx)
+    assert called == [names[0]]
+    calibration.apply(state, scores(model, features), features)
+    assert called == list(names)
+
+
+def _readme_methods_table():
+    """(tag, input) of each row of the README's "Calibration methods" table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = text.split("## Calibration methods\n", 1)[1].lstrip("\n").splitlines()
+    rows = list(takewhile(lambda line: line.startswith("|"), lines))[2:]
+    return [tuple(cell.strip() for cell in row.split("|")[1:3]) for row in rows]
+
+
+def test_the_readme_table_lists_every_method_with_what_it_reads():
+    rows = _readme_methods_table()
+    assert [tag for tag, _ in rows] == list(harness.ALL_METHODS)
+    assert tuple(tag for tag, what in rows if what == "features") == FEATURE_METHODS
+    assert [tag for tag, what in rows if what == "softmax probs"] == ["th"]
+    reads = {tag: row[2] for tag, row in calibration._calibrators().items()}
+    assert dict(rows) == {"none": "raw scores", **reads}
+
+
 def _pure_apply(state, raw, features):
     """A fitted method's calibrated scores from its apply_* in the pure form."""
     return {
@@ -586,7 +650,8 @@ def test_calibrators_leave_their_inputs_alone():
     model = extend_model(None, n_classes, dim, seed=0)
     train_scores = scores(model, table.features)
     ctx = make_ctx(train_scores, table.labels, train_scores.copy(), table.labels.copy(),
-                   old=(0,), table=table, buffer=buffer)
+                   old=(0,), table=table, buffer=buffer, model=model,
+                   train_config=TrainConfig(epochs=2, seed=0))
     features = gen.normal(size=(7, dim))
     raw = scores(model, features)
     inputs = [raw, features, model.weights, model.biases, ctx.train_scores, ctx.train_labels,
@@ -596,7 +661,7 @@ def test_calibrators_leave_their_inputs_alone():
         a.setflags(write=False)
     before = [a.tobytes() for a in inputs]
     for method in ("none",) + METHOD_TAGS:
-        state = fit(method, ctx, model, TrainConfig(epochs=2, seed=0))
+        state = fit(method, ctx)
         pure = _pure_apply(state, raw, features)
         assert pure.shape == raw.shape, method
         own = raw.copy()

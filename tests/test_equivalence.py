@@ -866,25 +866,26 @@ def _memory_case(gen, rows_by_class, capacity, first):
 def _assert_memory_fits_match_oracles(table, buffer, num_classes, seed):
     """nem's means and bal's layer against the oracles; False when bal has no
     train row to fit on, and then both paths refuse alike."""
+    model = extend_model(None, num_classes, table.dim, seed)
+    config = TrainConfig(epochs=2, batch_size=1 + seed % 4, seed=seed)
     ctx = CalibContext(
         train_scores=np.zeros((0, num_classes)), train_labels=np.zeros(0, dtype=np.int64),
         val_scores=np.zeros((0, num_classes)), val_labels=np.zeros(0, dtype=np.int64),
         class_counts=np.ones(num_classes), old_classes=(),
         new_classes=tuple(range(num_classes)), table=table, buffer=buffer,
+        model=model, train_config=config,
     )
     means = calibration.fit_nem(ctx).params["means"]
     assert _same(means, oracle_nem_means(buffer, table, num_classes))
 
-    model = extend_model(None, num_classes, table.dim, seed)
-    config = TrainConfig(epochs=2, batch_size=1 + seed % 4, seed=seed)
     try:
         expected = oracle_balanced(buffer, table, num_classes, model, config)
     except ParameterError as exc:
         with pytest.raises(ParameterError) as refused:
-            calibration.fit_balanced(ctx, model, config)
+            calibration.fit_balanced(ctx)
         assert str(refused.value) == str(exc)
         return False
-    state = calibration.fit_balanced(ctx, model, config)
+    state = calibration.fit_balanced(ctx)
     assert _same(state.params["weights"], expected.weights)
     assert _same(state.params["biases"], expected.biases)
     return True
@@ -954,13 +955,13 @@ def test_each_readme_state_reads_the_rows_the_copied_tables_held():
             states.append({"table": table, "model": trained, "readers": {}, "raws": {}})
         return trained
 
-    def recording_fit(method, ctx, model, config):
-        states[-1].update(ctx=ctx, calibrated_model=model)
+    def recording_fit(method, ctx):
+        states[-1].update(ctx=ctx)
         if method in calibration.TRAIN_SCORE_METHODS:
             states[-1]["readers"][method] = ctx
         calibrating.append(method)
         try:
-            return fit(method, ctx, model, config)
+            return fit(method, ctx)
         finally:
             calibrating.pop()
 
@@ -979,7 +980,7 @@ def test_each_readme_state_reads_the_rows_the_copied_tables_held():
     buffer = memory.MemoryBuffer.empty(cfg.memory)
     for state in states:
         ctx, model = state["ctx"], state["model"]
-        assert state["calibrated_model"] is model
+        assert ctx.model is model
         old_train, old_val, old_test = oracle_state_tables(ctx.table, buffer, ctx.new_classes)
         assert _same_table(state["table"], old_train)
         assert sorted(state["readers"]) == ["iso", "pl"]

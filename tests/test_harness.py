@@ -617,6 +617,28 @@ class TestConfig:
         })
         assert message in err
 
+    @pytest.mark.parametrize("methods, message", [
+        (["x", 1], "methods entries must be JSON strings, got 1"),
+        (["iso", 1], "methods entries must be JSON strings, got 1"),
+        (["none", None], "methods entries must be JSON strings, got None"),
+        (["th", ["mb"]], "methods entries must be JSON strings, got ['mb']"),
+        (["iso", "iso", "th"], "methods lists iso twice"),
+        (["th", "none", "mb", "none"], "methods lists none twice"),
+    ])
+    def test_methods_need_distinct_string_entries_before_data_is_built(
+        self, tmp_path, capsys, monkeypatch, methods, message
+    ):
+        cfg = {"num_states": 2, "memory": 8, "methods": methods, "data": self.SYNTHETIC}
+        with pytest.raises(ParameterError) as exc:
+            config_from_dict(cfg)
+        assert str(exc.value) == message
+        self._no_data(monkeypatch)
+        assert f"error: {message}\n" in self._refused(tmp_path, capsys, cfg)
+
+    def test_a_tag_listed_twice_is_refused_by_the_dataclass(self):
+        with pytest.raises(ParameterError, match="^methods lists iso twice$"):
+            small_config(methods=["iso", "th", "iso"])
+
     def test_null_or_absent_class_order_means_shuffle(self):
         cfg = {"num_states": 2, "memory": 8, "data": self.SYNTHETIC}
         assert config_from_dict(cfg).class_order is None
