@@ -125,8 +125,8 @@ def train(model, table, config):
     lr = config.initial_lr
     best = np.inf
     stall = 0
-    # flat position of each batch row's first logit
-    row_starts = np.arange(config.batch_size) * W.shape[0]
+    # flat position of each batch row's first logit; a batch holds at most n rows
+    row_starts = np.arange(min(config.batch_size, n)) * W.shape[0]
     for _ in range(config.epochs):
         perm = generator.permutation(n)
         epoch_loss = 0.0

@@ -16,18 +16,18 @@ apply_*, what the apply reads and whether the fit reads the training scores.
 METHOD_TAGS, FEATURE_METHODS and TRAIN_SCORE_METHODS are read off it, and
 ``fit(method, ctx)`` and ``apply`` index it: ``fit`` returns the method's
 ``CalibratorState``, and ``apply`` turns the test rows' raw scores (or, for
-the FEATURE_METHODS, their features) into calibrated scores. Each
-``apply_*`` is pure unless given ``out=``, as ``softmax`` is; ``apply``
-passes ``out=scores``, so a score-reading method overwrites the matrix it
-is handed and a caller makes that matrix only once the fit is done. The
-predicted class is the argmax of the calibrated scores (for nem the score
-is the inverse distance to each class mean, so the nearest mean wins).
+the FEATURE_METHODS, their features) into calibrated scores. A
+score-reading ``apply_*`` overwrites the matrix it is handed and returns
+it, so a caller makes that matrix only once the fit is done. A fit's
+decisions, such as the classes iso leaves as the identity, are in its
+state's ``flags``. The predicted class is the argmax of the calibrated
+scores (for nem the score is the inverse distance to each class mean, so
+the nearest mean wins).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,31 +202,27 @@ def _train_scores(ctx):
 
 
 def fit_isotonic(ctx):
-    """Per-class one-vs-all isotonic maps fitted on the training scores."""
+    """Per-class one-vs-all isotonic maps fitted on the training scores. A class
+    with no positives, or only positives, keeps the identity map and is
+    listed, ascending, in flags["identity_classes"]."""
     n, num_classes = _train_scores(ctx).shape
-    boundaries, levels = {}, {}
+    boundaries, levels, flags = {}, {}, {"identity_classes": []}
     for c in range(num_classes):
         positive = ctx.train_labels == c
         positives = positive.sum()
         if positives == 0 or positives == n:
-            warnings.warn(f"class {c}: no score overlap to fit; keeping identity map")
+            flags["identity_classes"].append(c)
             continue
         b, l = fit_step_map(ctx.train_scores[:, c], positive)
         boundaries[c] = b
         levels[c] = l
-    return CalibratorState("iso", {"boundaries": boundaries, "levels": levels})
+    return CalibratorState("iso", {"boundaries": boundaries, "levels": levels}, flags)
 
 
-def apply_isotonic(state, scores, out=None):
-    scores = np.asarray(scores, dtype=np.float64)
-    if out is None:
-        out = scores.copy()
-    elif out is not scores:
-        out[...] = scores
-    # each column is read before it is written, so out may be scores
+def apply_isotonic(state, scores):
     for c, b in state.params["boundaries"].items():
-        out[:, c] = apply_step_map(b, state.params["levels"][c], scores[:, c])
-    return out
+        scores[:, c] = apply_step_map(b, state.params["levels"][c], scores[:, c])
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +364,9 @@ def fit_platt(ctx):
     return state
 
 
-def apply_platt(state, scores, out=None):
-    """1 / (1 + exp(clip(s A + C))) per class, in one allocation or none."""
-    return _platt_sigmoid(scores, state.params["A"], state.params["C"], out=out)
+def apply_platt(state, scores):
+    """1 / (1 + exp(clip(s A + C))) per class, over ``scores``."""
+    return _platt_sigmoid(scores, state.params["A"], state.params["C"], out=scores)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +382,9 @@ def fit_threshold(ctx):
     return CalibratorState("th", {"factors": counts.sum() / counts})
 
 
-def apply_factors(state, x, out=None):
-    """Multiply each class's column by its fitted factor."""
-    return np.multiply(np.asarray(x, dtype=np.float64), state.params["factors"], out=out)
+def apply_factors(state, scores):
+    """Multiply each class's column of ``scores`` by its fitted factor, in place."""
+    return np.multiply(scores, state.params["factors"], out=scores)
 
 
 # One multiply under three names: bench/spans.py wraps each name, and
@@ -594,8 +590,8 @@ def apply(state, scores, features=None):
     if reads == "features":
         return apply_fn(state, features)
     if reads == "softmax probs":
-        return apply_fn(state, backbone.softmax(scores, out=scores), out=scores)
-    return apply_fn(state, scores, out=scores)
+        return apply_fn(state, backbone.softmax(scores, out=scores))
+    return apply_fn(state, scores)
 
 
 def predict(calibrated_scores):

@@ -15,7 +15,6 @@ import os
 import re
 import stat
 import tempfile
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,19 +255,16 @@ def plan_states(table, num_states, seed_or_fixed_order):
 
 
 def split_train_val(table, fraction, seed):
-    """Re-flag ceil(fraction * n_i) train records per class as validation."""
+    """Re-flag ceil(fraction * n_i) train records per class as validation; a
+    class with a single train record keeps it as train and gets no val row."""
     if not 0 < fraction < 1:
         raise ParameterError("fraction must be in (0, 1)")
     generator = rng.op_rng(seed, rng.SPLIT)
     splits = table.splits.copy()
-    for c, idx in _train_rows_by_class(table).items():
-        n = len(idx)
-        if n < 2:
-            warnings.warn(f"class {c} has a single train record; no val split for it")
-            continue
-        k = math.ceil(fraction * n)
-        chosen = generator.choice(idx, size=k, replace=False)
-        splits[chosen] = VAL
+    for idx in _train_rows_by_class(table).values():
+        if len(idx) > 1:
+            k = math.ceil(fraction * len(idx))
+            splits[generator.choice(idx, size=k, replace=False)] = VAL
     return DatasetTable(table.features, table.labels, splits)
 
 

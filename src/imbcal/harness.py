@@ -60,7 +60,7 @@ class ExperimentConfig:
             raise ParameterError("methods must name at least one calibrator tag")
         unknown = set(self.methods) - set(ALL_METHODS)
         if unknown:
-            raise ParameterError(f"unknown calibrator tags: {sorted(unknown)}")
+            raise ParameterError(f"unknown calibrator tags: {sorted(unknown, key=str)}")
         twice = [m for i, m in enumerate(self.methods) if m in self.methods[:i]]
         if twice:
             raise ParameterError(f"methods lists {twice[0]} twice")
@@ -68,6 +68,8 @@ class ExperimentConfig:
             raise ParameterError("memory must be >= 0 and num_states >= 2")
         if self.ece_bins < 1:
             raise ParameterError(f"ece_bins must be >= 1, got {self.ece_bins}")
+        if self.ece_bins > metrics.ECE_BINS_MAX:
+            raise ParameterError("ece_bins must be at most 2**62")
         if self.imbalance_kind not in dataset.IMBALANCE_KINDS:
             raise ParameterError(
                 f"imbalance must be one of {', '.join(dataset.IMBALANCE_KINDS)}, "

@@ -193,8 +193,8 @@ def admit_and_rebalance(buffer, table, rows):
     quotas = class_quotas(buffer.capacity, set(buffer.classes) | set(new))
     # split at every class's end, then drop the empty tail: no rows, no classes
     class_rows = np.split(rows[np.argsort(labels, kind="stable")], np.cumsum(sizes))[:-1]
-    herded = herd_order(table.features, class_rows, [quotas[c] for c in new])
     taken = [min(quotas[c], n) for c, n in zip(new, sizes)]
+    herded = herd_order(table.features, class_rows, taken)
     herded = iter(np.split(herded, np.cumsum(taken, dtype=np.int64)[:-1]))
     classes = {
         c: buffer.classes[c][:q] if c in buffer.classes else next(herded)

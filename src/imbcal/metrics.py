@@ -9,6 +9,7 @@ import numpy as np
 from .errors import ParameterError
 
 ECE_BINS_DEFAULT = 20
+ECE_BINS_MAX = 2**62  # so each bin id, floor(conf * M) with conf <= 1, is an exact int64
 
 
 @dataclass
@@ -49,8 +50,9 @@ def ece(probabilities, predictions, labels, m=ECE_BINS_DEFAULT):
     """Expected Calibration Error over M equal-width confidence bins.
 
     Bin b holds the confidences in [b/M, (b+1)/M), and the last bin also
-    holds 1.0. Each occupied bin adds its share of the samples times
-    |mean confidence - accuracy|; an empty bin adds nothing.
+    holds 1.0. Each occupied bin, in ascending order, adds its share of the
+    samples times |mean confidence - accuracy|; an empty bin is never
+    visited, so M (at most ECE_BINS_MAX) does not set the cost.
     """
     probabilities = np.asarray(probabilities, dtype=np.float64)
     predictions = np.asarray(predictions)
@@ -67,7 +69,8 @@ def ece(probabilities, predictions, labels, m=ECE_BINS_DEFAULT):
     n = len(labels)
     return float(sum(
         (int(mask.sum()) / n) * abs(float(conf[mask].mean()) - float(correct[mask].mean()))
-        for mask in (idx == b for b in range(m)) if mask.any()
+        # return_counts keeps np.unique from importing numpy.ma
+        for mask in (idx == b for b in np.unique(idx, return_counts=True)[0])
     ))
 
 

@@ -22,7 +22,11 @@
 # (exit 2, refused before any data is drawn), and a synthetic table of 10**6
 # classes x 100 rows x 1000 dims through run and gen, each in a subshell
 # whose virtual memory is capped at 1.5 GB (exit 2 with "out of memory", no
-# output).
+# output), then configs with a 10**30 train.batch_size and a 10**30 memory
+# under nem and bal (each exits 0 with empty stderr) and a 10**30 ece_bins
+# (exit 2 naming ece_bins), none printing a traceback, then an iso run
+# whose first state holds one class and a run on a feature file with a
+# class of one train record (each exits 0 with empty stderr).
 #
 #   cd "$(mktemp -d)" && bash /path/to/tests/console_e2e.sh
 set -eo pipefail
@@ -254,3 +258,32 @@ grep -F 'error: out of memory: ' err.txt
 if grep -F Traceback err.txt; then exit 1; fi
 test ! -e oom.csv
 test ! -e oom.csv.manifest.json
+for key in batch_size memory ece_bins; do
+  python -c 'import json, sys; cfg = json.load(open("cfg.json")); key = sys.argv[1]
+(cfg["train"] if key == "batch_size" else cfg)[key] = 10**30
+cfg["methods"] = ["none", "nem", "bal"]; print(json.dumps(cfg))' "$key" > "huge-$key.json"
+  status=0
+  imbcal run --config "huge-$key.json" --out "huge-$key-out" 2> err.txt || status=$?
+  cat err.txt
+  if grep -F Traceback err.txt; then exit 1; fi
+  if [ "$key" = ece_bins ]; then
+    test "$status" -eq 2
+    grep -F 'error: ece_bins must be at most 2**62' err.txt
+    test ! -e "huge-$key-out"
+  else
+    test "$status" -eq 0
+    test ! -s err.txt
+    test -s "huge-$key-out/states.csv"
+  fi
+done
+sed 's/"num_states": 2/"num_states": 4/; s/"methods": \[[^]]*\]/"methods": ["none", "iso"]/' cfg.json > iso-one.json
+imbcal run --config iso-one.json --out iso-one-out 2> err.txt
+cat err.txt
+test ! -s err.txt
+awk -F, 'NR == 1 || $1 != 3 || $2 != "train" || !kept++' feat.csv > one.csv
+test "$(grep -c '^3,train,' one.csv)" -eq 1
+cp feat.csv.manifest.json one.csv.manifest.json
+sed 's/feat\.csv/one.csv/g' cfg.json > one.json
+imbcal run --config one.json --out one-out 2> err.txt
+cat err.txt
+test ! -s err.txt

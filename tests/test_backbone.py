@@ -139,6 +139,15 @@ class TestTrain:
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
 
+    @pytest.mark.parametrize("batch_size", [10**12, 10**30])
+    def test_a_batch_past_every_row_is_one_full_batch(self, batch_size):
+        t = generate_synthetic(3, 4, 15, 3.0, 1.0, seed=2)
+        model = extend_model(None, 3, 4, seed=0)
+        a = train(model, t, TrainConfig(epochs=4, batch_size=batch_size, seed=9))
+        b = train(model, t, TrainConfig(epochs=4, batch_size=len(t), seed=9))
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.biases, b.biases)
+
     def test_empty_table_rejected(self):
         t = generate_synthetic(2, 4, 5, 3.0, 1.0, seed=0).subset(np.zeros(0, dtype=np.int64))
         model = extend_model(None, 2, 4, seed=0)

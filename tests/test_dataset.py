@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -221,9 +222,11 @@ class TestSplitTrainVal:
 
     def test_singleton_class_gets_no_val(self):
         t = DatasetTable(np.zeros((2, 2)), [0, 1], ["train", "train"])
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = split_train_val(t, 0.1, seed=1)
         assert np.count_nonzero(out.splits == "val") == 0
+        assert out.census == {0: 1, 1: 1}
 
     def test_partition_property(self):
         t = generate_synthetic(3, 2, 17, 5.0, 1.0, seed=0)

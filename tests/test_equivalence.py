@@ -6,12 +6,13 @@ likelihood at every step (the fast fit runs blocks of classes in
 lockstep), the scalar Fisher-Jenks DP, nem's full (n, N, d) difference
 tensor, herding that orders every row of one class, SGD that takes the
 softmax and the loss with an exp each, the feature and score CSV
-loaders that call ``float`` on each ``csv.reader`` cell, the th and mb
-applies that preceded the shared per-class factor multiply, softmax and
-Platt's apply with a new array per step, each apply into a new matrix
-rather than over the scores it is handed, the scores' bias added into a
-second matrix, Platt in blocks of 2^15 scores, nem and bal reading the memory
-copied out as one table, a state's rows copied out as tables and joined
+loaders that call ``float`` on each ``csv.reader`` cell, ECE visiting
+every one of its bins, the th and mb applies that preceded the shared
+per-class factor multiply, softmax and Platt's apply with a new array per
+step, each apply into a new matrix rather than over the scores it is
+handed, the scores' bias added into a second matrix, Platt in blocks of
+2^15 scores, nem and bal reading the memory copied out as one table, a
+state's rows copied out as tables and joined
 before a train mask split them, and the table build that drew, scanned
 and relabeled one class at a time. The fast versions perform the same
 IEEE operations on the same operands, so results must match bit for bit
@@ -34,7 +35,6 @@ import json
 import math
 import re
 import tempfile
-import warnings
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -44,7 +44,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imbcal import backbone, calibration, dataset, harness, memory, rng
+from imbcal import backbone, calibration, dataset, harness, memory, metrics, rng
 from imbcal.backbone import PLATEAU_TOL, LinearModel, TrainConfig, extend_model, softmax, train
 from imbcal.breaks import _check, _result, fisher_jenks
 from imbcal.calibration import (
@@ -61,6 +61,7 @@ from imbcal.calibration import (
     apply_mb,
     apply_nem,
     apply_platt,
+    apply_step_map,
     apply_threshold,
     fit_mb,
     fit_platt,
@@ -255,6 +256,18 @@ def oracle_apply_platt(a, c, scores):
     """Platt's apply before it ran in place: a chain of temporaries."""
     z = np.clip(np.asarray(scores, dtype=np.float64) * a + c, -500, 500)
     return 1.0 / (1.0 + np.exp(z))
+
+
+def oracle_ece(probabilities, predictions, labels, m):
+    """ECE visiting every one of the M bins, empty or not."""
+    conf = probabilities.max(axis=1)
+    correct = (predictions == labels).astype(np.float64)
+    idx = np.minimum(np.floor(conf * m).astype(np.int64), m - 1)
+    n = len(labels)
+    return float(sum(
+        (int(mask.sum()) / n) * abs(float(conf[mask].mean()) - float(correct[mask].mean()))
+        for mask in (idx == b for b in range(m)) if mask.any()
+    ))
 
 
 def oracle_herd_order(class_features):
@@ -545,7 +558,6 @@ def oracle_split_train_val(table, fraction, seed):
     for c in sorted(table.census):
         idx = _oracle_train_rows(table, c)
         if len(idx) < 2:
-            warnings.warn(f"class {c} has a single train record; no val split for it")
             continue
         chosen = generator.choice(idx, size=math.ceil(fraction * len(idx)), replace=False)
         splits[chosen] = VAL
@@ -1057,18 +1069,12 @@ def _class_table(seed, train_counts, val_rows=0, test_rows=1):
 
 
 def _assert_build_matches_oracles(table, kind, fraction, seed):
-    """apply_imbalance, split_train_val and relabeled against their oracles,
-    warnings included; returns the imbalanced table."""
+    """apply_imbalance, split_train_val and relabeled against their oracles;
+    returns the imbalanced table."""
     imbalanced = dataset.apply_imbalance(table, kind, seed)
     assert _same_table(imbalanced, oracle_apply_imbalance(table, kind, seed))
-    with warnings.catch_warnings(record=True) as fast_warnings:
-        warnings.simplefilter("always")
-        fast = dataset.split_train_val(imbalanced, fraction, seed)
-    with warnings.catch_warnings(record=True) as slow_warnings:
-        warnings.simplefilter("always")
-        slow = oracle_split_train_val(imbalanced, fraction, seed)
-    assert _same_table(fast, slow)
-    assert [str(w.message) for w in fast_warnings] == [str(w.message) for w in slow_warnings]
+    fast = dataset.split_train_val(imbalanced, fraction, seed)
+    assert _same_table(fast, oracle_split_train_val(imbalanced, fraction, seed))
     classes = fast.classes()
     mapping = {c: int(k) for c, k in
                zip(classes, np.random.default_rng(seed).permutation(len(classes)))}
@@ -1096,14 +1102,13 @@ def test_imbalance_split_and_relabel_are_bitwise_equal_to_the_per_class_scans(
     _assert_build_matches_oracles(table, kind, fraction, seed)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", dataset.IMBALANCE_KINDS)
-def test_single_train_row_classes_warn_in_class_order(kind):
+def test_single_train_row_classes_keep_their_record_as_train(kind):
     table = _class_table(3, {9: 1, 2: 40, 5: 1, 0: 3})
-    with pytest.warns(UserWarning) as record:
-        dataset.split_train_val(dataset.apply_imbalance(table, kind, 3), 0.5, 3)
-    assert [str(w.message) for w in record] == [
-        f"class {c} has a single train record; no val split for it" for c in (5, 9)
-    ]
+    split = dataset.split_train_val(dataset.apply_imbalance(table, kind, 3), 0.5, 3)
+    assert split.census[5] == split.census[9] == 1
+    assert not np.isin(split.labels[split.splits == VAL], [5, 9]).any()
     _assert_build_matches_oracles(table, kind, 0.5, 3)
 
 
@@ -1152,7 +1157,7 @@ def test_threshold_factors_are_bitwise_equal_to_dividing_by_the_prior(data):
     counts = data.draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=8))
     probs = _score_matrix(data, len(counts))
     with np.errstate(over="ignore"):
-        out = apply_threshold(fit_threshold(_factor_ctx(counts)), probs)
+        out = apply_threshold(fit_threshold(_factor_ctx(counts)), probs.copy())
         assert _same(out, oracle_apply_threshold(counts, probs))
 
 
@@ -1170,7 +1175,7 @@ def test_mb_factors_are_bitwise_equal_to_scaling_the_old_columns(data):
     state = fit_mb(_factor_ctx([1] * n_classes, val_scores, val_labels, old))
     scores = _score_matrix(data, n_classes)
     with np.errstate(over="ignore"):
-        out = apply_mb(state, scores)
+        out = apply_mb(state, scores.copy())
         assert _same(out, oracle_apply_mb(state.params["ratio"], old, scores))
 
 
@@ -1180,7 +1185,7 @@ def test_mb_factors_keep_negative_zero_infinities_and_nan(old):
     val_scores = np.array([[0.5, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.5]])
     state = fit_mb(_factor_ctx([1, 1, 1], val_scores, [0, 1, 2], old))
     assert state.params["ratio"] != 1.0 or not old
-    assert _same(apply_mb(state, scores), oracle_apply_mb(state.params["ratio"], old, scores))
+    assert _same(apply_mb(state, scores.copy()), oracle_apply_mb(state.params["ratio"], old, scores))
 
 
 def test_mb_means_are_the_figdata_means_at_every_readme_state():
@@ -1256,7 +1261,7 @@ def test_in_place_forms_match_at_a_vector_loop_sized_shape():
     assert _same(softmax(s), oracle_softmax(s))
     _assert_softmax_over_its_input_is_bitwise_equal(s)
     state = CalibratorState("pl", {"A": a, "C": c})
-    assert _same(apply_platt(state, s), oracle_apply_platt(a, c, s))
+    assert _same(apply_platt(state, s.copy()), oracle_apply_platt(a, c, s))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1267,7 +1272,7 @@ def test_apply_platt_in_place_is_bitwise_equal_to_the_temporaries(data):
     a, c = np.array(data.draw(params)), np.array(data.draw(params))
     scores = _score_matrix(data, n_classes)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = apply_platt(CalibratorState("pl", {"A": a, "C": c}), scores)
+        out = apply_platt(CalibratorState("pl", {"A": a, "C": c}), scores.copy())
         assert _same(out, oracle_apply_platt(a, c, scores))
 
 
@@ -1298,19 +1303,30 @@ def _fitted_score_apply(data):
     return CalibratorState(method, {"factors": np.array(factors)}), scores
 
 
-PURE_APPLIES = {"iso": apply_isotonic, "pl": apply_platt, "th": apply_threshold,
-                "mb": apply_mb, "fj": apply_fj}
+APPLIES = {"iso": apply_isotonic, "pl": apply_platt, "th": apply_threshold,
+           "mb": apply_mb, "fj": apply_fj}
+
+
+def oracle_pure_apply(state, scores):
+    """A score-reading apply before it overwrote its input: a new matrix."""
+    if state.method == "iso":
+        out = scores.copy()
+        for c, b in state.params["boundaries"].items():
+            out[:, c] = apply_step_map(b, state.params["levels"][c], scores[:, c])
+        return out
+    if state.method == "pl":
+        return oracle_apply_platt(state.params["A"], state.params["C"], scores)
+    return scores * state.params["factors"]
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_each_apply_over_its_input_is_bitwise_equal_to_its_pure_form(data):
     state, scores = _fitted_score_apply(data)
-    apply_fn = PURE_APPLIES[state.method]
     with np.errstate(over="ignore", invalid="ignore"):
-        pure = apply_fn(state, scores)
+        pure = oracle_pure_apply(state, scores)
         own = scores.copy()
-        assert apply_fn(state, own, out=own) is own
+        assert APPLIES[state.method](state, own) is own
         assert _same(own, pure)
         if state.method != "th":  # apply takes th's softmax first
             own = scores.copy()
@@ -1370,6 +1386,26 @@ def test_fit_platt_blocks_of_2_14_scores_keep_the_bits_of_2_15(n, num_classes):
     assert _same(state.params["C"], wide.params["C"])
     assert _same(state.flags["converged"], wide.flags["converged"])
     assert not state.flags["converged"].all()
+
+
+# ---------------------------------------------------------------------------
+# ECE: only the occupied bins are visited
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_ece_over_the_occupied_bins_is_bitwise_equal_to_every_bin(m, n, classes, seed):
+    gen = np.random.default_rng(seed)
+    # some rows on a bin edge: k/m in one column and 1 - k/m in another
+    p = gen.dirichlet(np.ones(classes), size=n)
+    edge = gen.random(n) < 0.3
+    k = gen.integers(0, m + 1, size=edge.sum()) / m
+    p[edge] = 0.0
+    p[edge, 0] = k
+    p[edge, 1 % classes] += 1 - k
+    preds, labels = p.argmax(axis=1), gen.integers(0, classes, size=n)
+    expected = oracle_ece(p, preds, labels, m)
+    assert _same(metrics.ece(p, preds, labels, m), expected)
 
 
 # ---------------------------------------------------------------------------

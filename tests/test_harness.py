@@ -320,9 +320,13 @@ class TestConfig:
                              synthetic=SyntheticSpec(4, 2, 5),
                              features_path="x.csv", manifest_path="x.json")
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ParameterError):
-            small_config(methods=("none", "magic"))
+    # a non-string tag reaches the dataclass only when it is built directly
+    @pytest.mark.parametrize("methods, unknown", [(("none", "magic"), "['magic']"),
+                                                  (("x", 1), "[1, 'x']")])
+    def test_unknown_method_rejected(self, methods, unknown):
+        with pytest.raises(ParameterError) as exc:
+            small_config(methods=methods)
+        assert str(exc.value) == f"unknown calibrator tags: {unknown}"
 
     def test_methods_string_rejected_as_not_a_list(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -566,15 +570,21 @@ class TestConfig:
         err = self._refused(tmp_path, capsys, {"num_states": 2, "memory": 8, "data": data})
         assert "data must configure exactly one of 'synthetic' or 'features'" in err
 
-    @pytest.mark.parametrize("bins", [0, -3])
-    def test_ece_bins_below_one_exits_2_before_training(
-        self, tmp_path, capsys, monkeypatch, bins
+    @pytest.mark.parametrize("bins, message", [
+        (0, "ece_bins must be >= 1, got 0"),
+        (-3, "ece_bins must be >= 1, got -3"),
+        (2**62 + 1, "ece_bins must be at most 2**62"),
+        (10**30, "ece_bins must be at most 2**62"),
+        (10**400, "ece_bins must be at most 2**62"),
+    ])
+    def test_ece_bins_out_of_range_exit_2_before_training(
+        self, tmp_path, capsys, monkeypatch, bins, message
     ):
         self._no_training(monkeypatch)
         err = self._refused(tmp_path, capsys, {
             "num_states": 2, "memory": 8, "ece_bins": bins, "data": self.SYNTHETIC,
         })
-        assert f"ece_bins must be >= 1, got {bins}" in err
+        assert err == f"error: {message}\n"
 
     @staticmethod
     def _no_data(monkeypatch):
@@ -1157,6 +1167,7 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("methods", [["none"], list(ALL_METHODS)])
     @pytest.mark.parametrize("train_rows, state, message", [
         ([10, 10, 1, 1], 2, "no samples from new classes"),
@@ -1189,9 +1200,8 @@ class TestCli:
 
         monkeypatch.setattr(calibration, "fit", recording_fit)
         trained = self._record_training(monkeypatch)
-        with pytest.warns(UserWarning, match="single train record"):
-            assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert f"error: state {state}: {message}\n" in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: state {state}: {message}\n"
         assert calibrated == [1] * len(methods) * (state - 1)
         # only state 1's 2-class models train: the refused state never does
         assert sorted(set(trained)) == [2] * (state - 1)

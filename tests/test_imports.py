@@ -1,11 +1,16 @@
-"""A run imports neither numpy.ma nor scipy.
+"""A run imports neither numpy.ma nor scipy, and no module imports warnings.
 
 Both would be measured costs on every run. Plain ``np.unique`` imports
 numpy.ma (14 ms on a 2-CPU container), which is why ``DatasetTable.classes``
 and memory admission pass ``return_counts``; ``import scipy.optimize`` costs
 0.4-0.6 s and 49 MB of peak RSS after numpy. scipy is a test-only oracle.
+
+A fit or a split reports what it decided in the values it returns (a
+calibrator's ``flags``, a table's census), never through ``warnings``, whose
+lines would reach stderr with a source path.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -50,3 +55,14 @@ def test_a_run_imports_neither_numpy_ma_nor_scipy(tmp_path):
         assert (tmp_path / out / "summary.json").exists()
     assert (tmp_path / "parsed" / "states.csv").read_bytes() == \
         (tmp_path / "cached" / "states.csv").read_bytes()
+
+
+def test_no_module_imports_warnings():
+    importers = []
+    for path in sorted((ROOT / "src" / "imbcal").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(name and name.split(".")[0] == "warnings" for name in names):
+                importers.append(path.name)
+    assert importers == []

@@ -127,6 +127,16 @@ class TestAdmitAndRebalance:
         with pytest.raises(ParameterError):
             admit_and_rebalance(buf, table, herdable(table, [0]))
 
+    def test_a_capacity_past_every_row_stores_each_class_whole(self):
+        table = table_for({0: 5, 1: 9, 2: 7})
+        rows = herdable(table, [0, 1, 2])
+        huge = admit_and_rebalance(MemoryBuffer.empty(10**30), table, rows)
+        whole = admit_and_rebalance(MemoryBuffer.empty(10**9), table, rows)
+        assert huge.classes.keys() == whole.classes.keys()
+        for c, stored in huge.classes.items():
+            assert np.array_equal(stored, whole.classes[c])
+            assert len(stored) == np.count_nonzero(table.labels == c)
+
     def test_capacity_smaller_than_classes(self):
         table = table_for({0: 3, 1: 3, 2: 3})
         buf = admit_and_rebalance(MemoryBuffer.empty(2), table, herdable(table, [0, 1, 2]))

@@ -1,3 +1,4 @@
+import signal
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from imbcal import backbone
 from imbcal.errors import ParameterError
 from imbcal.metrics import (
     ECE_BINS_DEFAULT,
+    ECE_BINS_MAX,
     average_incremental_accuracy,
     ece,
     group_mean_scores,
@@ -88,6 +90,23 @@ class TestEce:
         p = binary_probs([0.9] * 10)
         labels = np.array([0] * 6 + [1] * 4)
         assert ece(p, np.zeros(10, dtype=int), labels, m=m) == pytest.approx(0.3, abs=1e-12)
+
+    def test_2_62_bins_visit_only_the_occupied_ones(self):
+        # distinct confidences over 2**-62 apart each get a bin of their own
+        def stuck(*_):
+            raise AssertionError("ece is still visiting bins after 20 s")
+
+        confs = [0.55, 0.6, 0.75, 0.9, 1.0]
+        labels = np.array([0, 1, 0, 0, 1])
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(20)
+        try:
+            e = ece(binary_probs(confs), np.zeros(5, dtype=int), labels, m=ECE_BINS_MAX)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert ECE_BINS_MAX == 2**62
+        assert e == pytest.approx(np.mean(np.abs(np.array(confs) - (labels == 0))), abs=1e-12)
 
     def test_default_bin_count(self):
         assert ECE_BINS_DEFAULT == 20
