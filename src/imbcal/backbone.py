@@ -48,12 +48,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ParameterError("epochs must be >= 1")
-        if not 0 < self.lr_decay < 1:
-            raise ParameterError("lr_decay must be in (0, 1)")
-        if self.initial_lr <= 0 or self.batch_size < 1 or self.plateau_patience < 1:
-            raise ParameterError("invalid training configuration")
+        # each refusal names the key of the config's "train" section
+        for key, ok, allowed in (
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("lr", self.initial_lr > 0, "> 0"),
+            ("patience", self.plateau_patience >= 1, ">= 1"),
+            ("decay", 0 < self.lr_decay < 1, "in (0, 1)"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ParameterError(f"train.{key} must be {allowed}")
 
 
 def extend_model(prev, new_class_count, dim, seed):

@@ -1,8 +1,8 @@
 """Dataset construction, imbalancing, state planning and feature-file I/O.
 
 Tables are immutable and numpy-backed: a table is a (n, d) feature matrix
-plus parallel label and split arrays. All operations return new tables and
-are deterministic given their seeds.
+plus parallel label and split arrays. Imbalance, the val split and the plan
+read only labels and split flags. All operations are deterministic given their seeds.
 """
 
 from __future__ import annotations
@@ -94,15 +94,6 @@ class DatasetTable:
         """The rows picked by a boolean mask or an array of row ids, in order."""
         return DatasetTable(self.features[rows], self.labels[rows], self.splits[rows])
 
-    def relabeled(self, mapping):
-        """Return a copy with labels passed through ``mapping``, which must map every label."""
-        classes, inverse = np.unique(self.labels, return_inverse=True)
-        try:
-            lookup = np.array([mapping[c] for c in classes.tolist()], dtype=np.int64)
-        except KeyError as exc:
-            raise ParameterError(f"label {exc.args[0]} has no mapping") from None
-        return DatasetTable(self.features, lookup[inverse], self.splits)
-
 
 def _centers(generator, num_classes, dim, class_separation):
     centers = generator.normal(size=(num_classes, dim))
@@ -174,19 +165,20 @@ def largest_remainder(total, proportions):
     return base
 
 
-def apply_imbalance(table, kind, seed):
-    """Randomly discard train records per class: ``kind`` is "none", "soft" or "strong".
+def apply_imbalance(labels, splits, kind, seed):
+    """The mask of rows kept when train records are discarded per class: "none" keeps all.
 
     Test and val records are never touched; retained counts stay within
     the kind's per-group interval, clamped to what is available.
     """
     if kind not in IMBALANCE_KINDS:
         raise ParameterError(f"unknown imbalance kind: {kind!r}")
+    keep = np.ones(len(labels), dtype=bool)
     if kind == "none":
-        return table
+        return keep
 
     generator = rng.op_rng(seed, rng.IMBALANCE)
-    rows = _train_rows_by_class(table)
+    rows = _train_rows_by_class(labels, splits)
     targets = {}
     if kind == "soft":
         for c, idx in rows.items():
@@ -206,33 +198,31 @@ def apply_imbalance(table, kind, seed):
                 targets[c] = int(generator.integers(lo_c, hi_c + 1))
             pos += size
 
-    keep = np.ones(len(table), dtype=bool)
     for c, idx in rows.items():
         u = targets[c]
         if u < len(idx):
             kept = generator.choice(idx, size=u, replace=False)
             keep[idx] = False
             keep[kept] = True
-    return table.subset(keep)
+    return keep
 
 
-def _train_rows_by_class(table):
+def _train_rows_by_class(labels, splits):
     """{class: its train row ids, ascending}, the classes in ascending order."""
-    rows = np.flatnonzero(table.splits == TRAIN)
-    labels = table.labels[rows]
+    rows = np.flatnonzero(splits == TRAIN)
+    labels = labels[rows]
     classes, counts = np.unique(labels, return_counts=True)
     groups = np.split(rows[np.argsort(labels, kind="stable")], np.cumsum(counts)[:-1])
     return dict(zip(classes.tolist(), groups))
 
 
-def plan_states(table, num_states, seed_or_fixed_order):
-    """Chunk the class set into ``num_states`` incremental batches.
+def plan_states(classes, num_states, seed_or_fixed_order):
+    """Chunk ``classes``, a list of ascending class ids, into ``num_states`` batches.
 
     An integer argument seeds a random permutation; a sequence is used as
     the explicit class ordering. Remainder classes go to the earliest
     states.
     """
-    classes = table.classes()
     if num_states < 1:
         raise ParameterError(f"num_states must be >= 1, got {num_states}")
     if num_states > len(classes):
@@ -254,18 +244,18 @@ def plan_states(table, num_states, seed_or_fixed_order):
     return StatePlan(tuple(ordering), tuple(sizes))
 
 
-def split_train_val(table, fraction, seed):
-    """Re-flag ceil(fraction * n_i) train records per class as validation; a
-    class with a single train record keeps it as train and gets no val row."""
+def split_train_val(labels, splits, fraction, seed):
+    """New split flags with ceil(fraction * n_i) train records per class made val;
+    a class with a single train record keeps it as train and gets no val row."""
     if not 0 < fraction < 1:
         raise ParameterError("fraction must be in (0, 1)")
     generator = rng.op_rng(seed, rng.SPLIT)
-    splits = table.splits.copy()
-    for idx in _train_rows_by_class(table).values():
+    flags = splits.copy()
+    for idx in _train_rows_by_class(labels, splits).values():
         if len(idx) > 1:
             k = math.ceil(fraction * len(idx))
-            splits[generator.choice(idx, size=k, replace=False)] = VAL
-    return DatasetTable(table.features, table.labels, splits)
+            flags[generator.choice(idx, size=k, replace=False)] = VAL
+    return flags
 
 
 # data lines per np.loadtxt call in read_rows; bounds the text held at once

@@ -54,13 +54,17 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        for name, entry, kind in (("methods", str, "strings"), ("class_order", int, "integers")):
+            bad = [v for v in getattr(self, name) or () if type(v) is not entry]
+            if bad:
+                raise ParameterError(f"{name} entries must be JSON {kind}, got {bad[0]!r}")
         if (self.synthetic is None) == (self.features_path is None):
             raise ParameterError("data must configure exactly one of 'synthetic' or 'features'")
         if not self.methods:
             raise ParameterError("methods must name at least one calibrator tag")
         unknown = set(self.methods) - set(ALL_METHODS)
         if unknown:
-            raise ParameterError(f"unknown calibrator tags: {sorted(unknown, key=str)}")
+            raise ParameterError(f"unknown calibrator tags: {sorted(unknown)}")
         twice = [m for i, m in enumerate(self.methods) if m in self.methods[:i]]
         if twice:
             raise ParameterError(f"methods lists {twice[0]} twice")
@@ -81,10 +85,9 @@ class ExperimentConfig:
 
 # Each JSON type a config key may take, "a JSON <type>" in messages, and the
 # Python types it reads as. A bool is none of them, though Python calls it an int.
+# A list's entries are checked by ExperimentConfig, however it is built.
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "object": dict,
                "list of tags": list, "list of class ids": list}
-# each list kind's entry type, and its entries in messages
-_LIST_ENTRIES = {"list of tags": (str, "strings"), "list of class ids": (int, "integers")}
 
 # Each config section's keys: JSON key -> (the field it sets, its JSON type).
 # An "object" key is a section of its own, whose fields build the dataclass in
@@ -159,17 +162,14 @@ def _fields(obj, section=""):
         elif kind == "object":
             fields[name] = _SECTION_TYPES[key](**_fields(value, key))
         elif kind == "number":
-            fields[name] = float(value)
+            try:
+                fields[name] = float(value)
+            except OverflowError:  # a JSON integer past float range; its digits are not echoed
+                raise ParameterError(f"{qualified} is an integer too large to convert to float")
             if not np.isfinite(fields[name]):
                 raise ParameterError(f"{qualified} must be finite, got {fields[name]!r}")
-        elif kind in _LIST_ENTRIES:
-            entry, entries = _LIST_ENTRIES[kind]
-            bad = [c for c in value if type(c) is not entry]
-            if bad:
-                raise ParameterError(f"{qualified} entries must be JSON {entries}, got {bad[0]!r}")
-            fields[name] = tuple(value)
         else:
-            fields[name] = value
+            fields[name] = tuple(value) if isinstance(value, list) else value
     return fields
 
 
@@ -184,6 +184,8 @@ def config_from_dict(obj):
 
 
 def _build_table(cfg):
+    """The run's one table, labels remapped to introduction order (class id ==
+    model row), and its plan; the features are copied only if imbalance drops a row."""
     if cfg.synthetic is not None:
         s = cfg.synthetic
         table = dataset.generate_synthetic(
@@ -192,17 +194,24 @@ def _build_table(cfg):
         )
     else:
         table = dataset.load_features(cfg.features_path, cfg.manifest_path)
-    table = dataset.apply_imbalance(table, cfg.imbalance_kind, cfg.data_seed)
-    return dataset.split_train_val(table, cfg.val_fraction, derive_seed(cfg.data_seed, 1))
+    keep = dataset.apply_imbalance(table.labels, table.splits, cfg.imbalance_kind, cfg.data_seed)
+    if not keep.all():
+        table = table.subset(keep)
+    splits = dataset.split_train_val(table.labels, table.splits, cfg.val_fraction,
+                                     derive_seed(cfg.data_seed, 1))
+    classes, inverse = np.unique(table.labels, return_inverse=True)
+    plan = dataset.plan_states(
+        classes.tolist(), cfg.num_states,
+        cfg.class_order if cfg.class_order is not None else cfg.protocol_seed,
+    )
+    # position j of argsort(ordering) is the introduction index of classes[j]
+    labels = np.argsort(plan.ordering)[inverse]
+    return dataset.DatasetTable(table.features, labels, splits), plan
 
 
 def run_experiment(cfg):
     """Execute the protocol; returns (state reports, summary dict)."""
-    table = _build_table(cfg)
-    plan = dataset.plan_states(
-        table, cfg.num_states,
-        cfg.class_order if cfg.class_order is not None else cfg.protocol_seed,
-    )
+    table, plan = _build_table(cfg)
     seen_by_state = np.cumsum(plan.classes_per_state)
     # nem and bal need an exemplar of every class seen, so B >= classes
     needs_exemplars = [m for m in cfg.methods if m in calibration.FEATURE_METHODS]
@@ -226,9 +235,6 @@ def run_experiment(cfg):
             f"state {k + 2}: memory {cfg.memory} is smaller than the "
             f"{seen_by_state[k]} classes seen before it"
         )
-    # remap labels to introduction order: class id == model row
-    mapping = {orig: i for i, orig in enumerate(plan.ordering)}
-    table = table.relabeled(mapping)
 
     buffer = memory.MemoryBuffer.empty(cfg.memory)
     model = None

@@ -3,8 +3,10 @@
 # with an `imbcal` on PATH: gen, run on the feature file twice (the first
 # run writes the parse cache, the second reads it and must give the same
 # outputs), then a corrupted copy, then a config whose output_dir is a
-# number, then one whose train.lr is NaN, then one with the misspelt key
-# methds, then an unknown imbalance kind and a val_fraction outside (0, 1),
+# number, then one whose train.lr is NaN, one whose train.lr is -1 and one
+# whose train.lr is 10**400 (each exits 2 naming train.lr, the last without
+# echoing the digits), then one with the misspelt key methds, then an
+# unknown imbalance kind and a val_fraction outside (0, 1),
 # then a methods list with an entry that is not a string and one that lists
 # a tag twice, then calibrate on a score file that is not UTF-8, mb with a
 # class id that is not an integer, a counts file listing a class twice,
@@ -66,6 +68,23 @@ test "$status" -eq 2
 grep -F 'train.lr must be finite' err.txt
 if grep -F Traceback err.txt; then exit 1; fi
 test ! -e nan-out
+sed 's/"epochs": 3/"epochs": 3, "lr": -1/' cfg.json > neg-lr.json
+status=0
+imbcal run --config neg-lr.json --out neg-lr-out 2> err.txt || status=$?
+cat err.txt
+test "$status" -eq 2
+grep -F 'train.lr must be > 0' err.txt
+if grep -F Traceback err.txt; then exit 1; fi
+test ! -e neg-lr-out
+sed "s/\"epochs\": 3/\"epochs\": 3, \"lr\": 1$(python -c 'print("0" * 400)')/" cfg.json > huge-lr.json
+status=0
+imbcal run --config huge-lr.json --out huge-lr-out 2> err.txt || status=$?
+cat err.txt
+test "$status" -eq 2
+grep -F 'train.lr is an integer too large to convert to float' err.txt
+if grep -F 0000000000 err.txt; then exit 1; fi
+if grep -F Traceback err.txt; then exit 1; fi
+test ! -e huge-lr-out
 sed 's/^{/{"methds": ["none"], /' cfg.json > typo.json
 status=0
 imbcal run --config typo.json --out typo-out 2> err.txt || status=$?

@@ -104,33 +104,33 @@ class TestDatasetTable:
             DatasetTable(np.zeros((len(splits), 2)), range(len(splits)), splits)
         assert str(refused.value) == f"unknown split flags: {listed}"
 
-    def test_relabeled_maps_every_row(self):
-        t = DatasetTable(np.zeros((5, 2)), [7, 3, 7, 0, 3], ["train"] * 5)
-        out = t.relabeled({0: 2, 3: 0, 7: 1, 9: 5})
-        assert out.labels.tolist() == [1, 0, 1, 2, 0]
 
-    def test_relabeled_refuses_a_label_missing_from_the_mapping(self):
-        t = DatasetTable(np.zeros((3, 2)), [0, 4, 1], ["train"] * 3)
-        with pytest.raises(ParameterError, match="label 4 has no mapping"):
-            t.relabeled({0: 1, 1: 0})
+def imbalanced(t, kind, seed):
+    """``t`` with only the rows apply_imbalance keeps."""
+    return t.subset(apply_imbalance(t.labels, t.splits, kind, seed))
+
+
+def split(t, fraction, seed):
+    """``t`` with the split flags split_train_val returns."""
+    return DatasetTable(t.features, t.labels, split_train_val(t.labels, t.splits, fraction, seed))
 
 
 class TestApplyImbalance:
     def test_soft_class_at_minimum_keeps_all(self):
         t = generate_synthetic(3, 2, 50, 5.0, 1.0, seed=0)
-        out = apply_imbalance(t, "soft", 7)
+        out = imbalanced(t, "soft", 7)
         assert all(n == 50 for n in out.census.values())
 
     def test_soft_counts_in_interval(self):
         t = generate_synthetic(4, 2, 120, 5.0, 1.0, seed=0)
-        out = apply_imbalance(t, "soft", 3)
+        out = imbalanced(t, "soft", 3)
         assert all(50 <= n <= 120 for n in out.census.values())
 
     def test_strong_group_sizes_3_3_2_2(self):
         # with 200 initial records all four retention intervals are disjoint,
         # so group membership is visible from the retained counts
         t = generate_synthetic(10, 2, 200, 5.0, 1.0, seed=0)
-        out = apply_imbalance(t, "strong", 11)
+        out = imbalanced(t, "strong", 11)
         counts = sorted(out.census.values())
         groups = [sum(1 for n in counts if lo <= n <= hi)
                   for lo, hi in ((10, 25), (26, 75), (76, 100), (101, 200))]
@@ -138,32 +138,33 @@ class TestApplyImbalance:
 
     def test_strong_clamps_short_classes(self):
         t = generate_synthetic(10, 2, 8, 5.0, 1.0, seed=0)
-        out = apply_imbalance(t, "strong", 2)
+        out = imbalanced(t, "strong", 2)
         assert all(n == 8 for n in out.census.values())
 
-    def test_none_is_identity(self):
+    def test_none_keeps_every_row(self):
         t = generate_synthetic(3, 2, 10, 5.0, 1.0, seed=0)
-        assert apply_imbalance(t, "none", 0) is t
+        keep = apply_imbalance(t.labels, t.splits, "none", 0)
+        assert keep.dtype == bool and keep.shape == (len(t),) and keep.all()
 
     def test_never_touches_test_records(self):
         t = generate_synthetic(4, 2, 120, 5.0, 1.0, seed=0, test_per_class=9)
-        out = apply_imbalance(t, "strong", 5)
+        out = imbalanced(t, "strong", 5)
         assert np.array_equal(out.features[out.splits == "test"], t.features[t.splits == "test"])
 
     def test_never_increases_counts(self):
         t = generate_synthetic(6, 2, 60, 5.0, 1.0, seed=0)
-        out = apply_imbalance(t, "soft", 1)
+        out = imbalanced(t, "soft", 1)
         assert all(out.census[c] <= t.census[c] for c in t.census)
 
     def test_deterministic(self):
         t = generate_synthetic(6, 2, 90, 5.0, 1.0, seed=0)
-        assert np.array_equal(apply_imbalance(t, "strong", 4).features,
-                              apply_imbalance(t, "strong", 4).features)
+        assert np.array_equal(imbalanced(t, "strong", 4).features,
+                              imbalanced(t, "strong", 4).features)
 
     def test_unknown_kind_rejected(self):
         t = generate_synthetic(3, 2, 10, 5.0, 1.0, seed=0)
         with pytest.raises(ParameterError):
-            apply_imbalance(t, "medium", 0)
+            apply_imbalance(t.labels, t.splits, "medium", 0)
 
 
 class TestLargestRemainder:
@@ -181,41 +182,41 @@ class TestLargestRemainder:
 class TestPlanStates:
     def test_even_division(self):
         t = generate_synthetic(20, 2, 3, 5.0, 1.0, seed=0)
-        plan = plan_states(t, 5, 1)
+        plan = plan_states(t.classes(), 5, 1)
         assert plan.classes_per_state == (4, 4, 4, 4, 4)
 
     def test_remainder_to_earliest(self):
         t = generate_synthetic(10, 2, 3, 5.0, 1.0, seed=0)
-        plan = plan_states(t, 3, 1)
+        plan = plan_states(t.classes(), 3, 1)
         assert plan.classes_per_state == (4, 3, 3)
 
     def test_ordering_is_permutation(self):
         t = generate_synthetic(12, 2, 3, 5.0, 1.0, seed=0)
-        plan = plan_states(t, 4, 99)
+        plan = plan_states(t.classes(), 4, 99)
         assert sorted(plan.ordering) == list(range(12))
 
     def test_fixed_order(self):
         t = generate_synthetic(4, 2, 3, 5.0, 1.0, seed=0)
-        plan = plan_states(t, 2, [3, 1, 0, 2])
+        plan = plan_states(t.classes(), 2, [3, 1, 0, 2])
         assert plan.ordering == (3, 1, 0, 2)
         assert plan.classes_per_state == (2, 2)
 
     def test_bad_fixed_order(self):
         t = generate_synthetic(4, 2, 3, 5.0, 1.0, seed=0)
         with pytest.raises(ParameterError):
-            plan_states(t, 2, [0, 1, 2, 2])
+            plan_states(t.classes(), 2, [0, 1, 2, 2])
 
     @pytest.mark.parametrize("k", [0, 13])
     def test_num_states_out_of_range(self, k):
         t = generate_synthetic(12, 2, 3, 5.0, 1.0, seed=0)
         with pytest.raises(ParameterError):
-            plan_states(t, k, 1)
+            plan_states(t.classes(), k, 1)
 
 
 class TestSplitTrainVal:
     def test_ten_percent_of_twenty(self):
         t = generate_synthetic(2, 2, 20, 5.0, 1.0, seed=0)
-        out = split_train_val(t, 0.1, seed=1)
+        out = split(t, 0.1, seed=1)
         for c in (0, 1):
             assert np.count_nonzero((out.splits == "val") & (out.labels == c)) == 2
             assert out.census[c] == 18
@@ -224,13 +225,13 @@ class TestSplitTrainVal:
         t = DatasetTable(np.zeros((2, 2)), [0, 1], ["train", "train"])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = split_train_val(t, 0.1, seed=1)
+            out = split(t, 0.1, seed=1)
         assert np.count_nonzero(out.splits == "val") == 0
         assert out.census == {0: 1, 1: 1}
 
     def test_partition_property(self):
         t = generate_synthetic(3, 2, 17, 5.0, 1.0, seed=0)
-        out = split_train_val(t, 0.25, seed=2)
+        out = split(t, 0.25, seed=2)
         for c in range(3):
             n_val = np.count_nonzero((out.splits == "val") & (out.labels == c))
             assert n_val == int(np.ceil(0.25 * 17))
@@ -240,7 +241,7 @@ class TestSplitTrainVal:
     def test_bad_fraction(self):
         t = generate_synthetic(2, 2, 5, 5.0, 1.0, seed=0)
         with pytest.raises(ParameterError):
-            split_train_val(t, 1.5, seed=0)
+            split_train_val(t.labels, t.splits, 1.5, seed=0)
 
 
 class TestFeatureFiles:
@@ -561,8 +562,8 @@ class TestSidecar:
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_imbalance_then_split_preserve_all_invariants(seed):
     t = generate_synthetic(8, 3, 70, 4.0, 1.0, seed=seed, test_per_class=4)
-    out = apply_imbalance(t, "strong", seed)
-    out = split_train_val(out, 0.1, seed=seed)
+    out = imbalanced(t, "strong", seed)
+    out = split(out, 0.1, seed=seed)
     for c in range(8):
         n_train = out.census[c]
         n_val = np.count_nonzero((out.splits == "val") & (out.labels == c))
@@ -642,7 +643,7 @@ cfg = harness.ExperimentConfig(
     synthetic=harness.SyntheticSpec(classes=500, dim=256, per_class=300,
                                     separation=2.5, noise=1.5, test_per_class=30),
 )
-table = harness._build_table(cfg)
+table, _ = harness._build_table(cfg)
 peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"rows": len(table), "peak_mb": peak_mb}))
 """

@@ -37,6 +37,7 @@ import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -73,6 +74,8 @@ from imbcal.cli import _read_counts, _read_scores, main
 from imbcal.dataset import SPLITS, TEST, TRAIN, VAL, DatasetTable, _class_id, load_features
 from imbcal.errors import FormatError, ParameterError
 from imbcal.memory import _screen, herd_order
+from test_dataset import imbalanced as _imbalanced
+from test_dataset import split as _split
 from test_golden import GOLDEN, README_CONFIG
 
 # ---------------------------------------------------------------------------
@@ -1069,16 +1072,27 @@ def _class_table(seed, train_counts, val_rows=0, test_rows=1):
 
 
 def _assert_build_matches_oracles(table, kind, fraction, seed):
-    """apply_imbalance, split_train_val and relabeled against their oracles;
+    """apply_imbalance, split_train_val and the run's build of ``table``
+    (harness._build_table, which also relabels) against their oracles;
     returns the imbalanced table."""
-    imbalanced = dataset.apply_imbalance(table, kind, seed)
+    imbalanced = _imbalanced(table, kind, seed)
     assert _same_table(imbalanced, oracle_apply_imbalance(table, kind, seed))
-    fast = dataset.split_train_val(imbalanced, fraction, seed)
-    assert _same_table(fast, oracle_split_train_val(imbalanced, fraction, seed))
-    classes = fast.classes()
-    mapping = {c: int(k) for c, k in
-               zip(classes, np.random.default_rng(seed).permutation(len(classes)))}
-    assert _same_table(fast.relabeled(mapping), oracle_relabeled(fast, mapping))
+    assert _same_table(_split(imbalanced, fraction, seed),
+                       oracle_split_train_val(imbalanced, fraction, seed))
+    classes = imbalanced.classes()
+    if classes:
+        mapping = {c: int(k) for c, k in
+                   zip(classes, np.random.default_rng(seed).permutation(len(classes)))}
+        cfg = SimpleNamespace(
+            synthetic=None, features_path=None, manifest_path=None, imbalance_kind=kind,
+            data_seed=seed, val_fraction=fraction, num_states=1, protocol_seed=None,
+            class_order=tuple(sorted(classes, key=mapping.get)),
+        )
+        with mock.patch.object(dataset, "load_features", return_value=table):
+            built, plan = harness._build_table(cfg)
+        split = oracle_split_train_val(imbalanced, fraction, rng.derive_seed(seed, 1))
+        assert _same_table(built, oracle_relabeled(split, mapping))
+        assert plan.ordering == cfg.class_order
     return imbalanced
 
 
@@ -1106,7 +1120,7 @@ def test_imbalance_split_and_relabel_are_bitwise_equal_to_the_per_class_scans(
 @pytest.mark.parametrize("kind", dataset.IMBALANCE_KINDS)
 def test_single_train_row_classes_keep_their_record_as_train(kind):
     table = _class_table(3, {9: 1, 2: 40, 5: 1, 0: 3})
-    split = dataset.split_train_val(dataset.apply_imbalance(table, kind, 3), 0.5, 3)
+    split = _split(_imbalanced(table, kind, 3), 0.5, 3)
     assert split.census[5] == split.census[9] == 1
     assert not np.isin(split.labels[split.splits == VAL], [5, 9]).any()
     _assert_build_matches_oracles(table, kind, 0.5, 3)

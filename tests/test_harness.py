@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imbcal import backbone, calibration, harness, memory
+from imbcal import backbone, calibration, dataset, harness, memory
 from imbcal.cli import main
 from imbcal.dataset import TEST, DatasetTable
 from imbcal.errors import ParameterError
@@ -266,6 +266,42 @@ class TestRunExperiment:
         assert not any(TEST in splits for splits in stored)
 
 
+class TestBuildTable:
+    def test_labels_are_remapped_to_introduction_order(self, monkeypatch):
+        source = DatasetTable(np.arange(10.0).reshape(5, 2), [7, 3, 7, 0, 3], ["train"] * 5)
+        monkeypatch.setattr(dataset, "generate_synthetic", lambda *args, **kwargs: source)
+        cfg = small_config(imbalance_kind="none", class_order=(3, 7, 0))
+        table, plan = harness._build_table(cfg)
+        assert plan.ordering == (3, 7, 0)
+        assert table.labels.tolist() == [1, 0, 1, 2, 0]
+        assert table.labels.dtype == np.int64
+        assert np.array_equal(table.features, source.features)
+
+    # soft keeps a class of at most 50 train rows whole, so small_config's drops none
+    @pytest.mark.parametrize("kind, copied", [("none", False), ("soft", False), ("strong", True)])
+    def test_only_an_imbalance_that_drops_a_row_copies_the_features(
+        self, monkeypatch, kind, copied
+    ):
+        generate, admit = dataset.generate_synthetic, memory.admit_and_rebalance
+        made, seen = [], []
+
+        def recording_generate(*args, **kwargs):
+            made.append(generate(*args, **kwargs))
+            return made[-1]
+
+        def recording_admit(buffer, table, rows):
+            seen.append(table)
+            return admit(buffer, table, rows)
+
+        monkeypatch.setattr(dataset, "generate_synthetic", recording_generate)
+        monkeypatch.setattr(memory, "admit_and_rebalance", recording_admit)
+        cfg = small_config(imbalance_kind=kind, methods=("none",))
+        run_experiment(cfg)
+        assert len(made) == 1 and len(seen) == cfg.num_states
+        assert all(np.shares_memory(t.features, made[0].features) != copied for t in seen)
+        assert all(t is seen[0] for t in seen)
+
+
 class TestWriteOutputs:
     def test_states_csv_matches_reports(self, small_run, tmp_path):
         _, reports, summary = small_run
@@ -320,13 +356,28 @@ class TestConfig:
                              synthetic=SyntheticSpec(4, 2, 5),
                              features_path="x.csv", manifest_path="x.json")
 
-    # a non-string tag reaches the dataclass only when it is built directly
-    @pytest.mark.parametrize("methods, unknown", [(("none", "magic"), "['magic']"),
-                                                  (("x", 1), "[1, 'x']")])
-    def test_unknown_method_rejected(self, methods, unknown):
+    # the dataclass checks a list's entries before it reads them as tags
+    @pytest.mark.parametrize("methods, message", [
+        (("none", "magic"), "unknown calibrator tags: ['magic']"),
+        (("x", 1), "methods entries must be JSON strings, got 1"),
+    ])
+    def test_unknown_method_rejected(self, methods, message):
         with pytest.raises(ParameterError) as exc:
             small_config(methods=methods)
-        assert str(exc.value) == f"unknown calibrator tags: {unknown}"
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("methods", (["x"],), "methods entries must be JSON strings, got ['x']"),
+        ("methods", ("none", True), "methods entries must be JSON strings, got True"),
+        ("class_order", (0, "a", 1, 2), "class_order entries must be JSON integers, got 'a'"),
+        ("class_order", (0, 1, 2.0), "class_order entries must be JSON integers, got 2.0"),
+        ("class_order", (True, 0), "class_order entries must be JSON integers, got True"),
+    ])
+    def test_a_config_built_directly_checks_list_entries(self, field, value, message):
+        # the same refusal as config_from_dict's, before anything reads the entries
+        with pytest.raises(ParameterError) as exc:
+            small_config(**{field: value})
+        assert str(exc.value) == message
 
     def test_methods_string_rejected_as_not_a_list(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -461,15 +512,37 @@ class TestConfig:
         with pytest.raises(ParameterError, match="train.lr must be a JSON number, got True"):
             config_from_dict(self._with(base, ("train", "lr"), True))
 
-    def test_integer_too_large_for_a_float_key_exits_2(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("keys, name", FLOAT_KEYS)
+    def test_integer_too_large_for_a_float_key_exits_2(
+        self, tmp_path, capsys, monkeypatch, keys, name
+    ):
         self._no_run(monkeypatch)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "num_states": 2, "memory": 8, "train": {"lr": 10**400},
+        path.write_text(json.dumps(self._with({
+            "num_states": 2, "memory": 8,
             "data": {"synthetic": {"classes": 4, "dim": 3, "per_class": 15}},
-        }))
+        }, keys, 10**400)))
         assert main(["run", "--config", str(path)]) == 2
-        assert "too large to convert to float" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {name} is an integer too large to convert to float\n"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("epochs", 0, "train.epochs must be >= 1"),
+        ("lr", -1, "train.lr must be > 0"),
+        ("lr", 0, "train.lr must be > 0"),
+        ("patience", 0, "train.patience must be >= 1"),
+        ("decay", 2, "train.decay must be in (0, 1)"),
+        ("decay", 0, "train.decay must be in (0, 1)"),
+        ("batch_size", 0, "train.batch_size must be >= 1"),
+    ])
+    def test_each_train_refusal_names_its_key_before_data_is_built(
+        self, tmp_path, capsys, monkeypatch, key, value, message
+    ):
+        self._no_data(monkeypatch)
+        err = self._refused(tmp_path, capsys, {
+            "num_states": 2, "memory": 8, "train": {key: value}, "data": self.SYNTHETIC,
+        })
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("keys, name", [
         (("data", "features", "features_path"), "features.features_path"),
